@@ -99,8 +99,8 @@ func BenchmarkE3PathCount(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := pram.New(pram.ProcsFor(n))
-				tour := par.TourBinary(s, bin.BinTree, uint64(i))
-				p := core.ComputeP(s, bin, L, tour)
+				tour := par.TourBinaryIx(s, bin.BinTree, uint64(i))
+				p := core.ComputePIx(s, bin, L, tour)
 				if p[bin.Root] < 1 {
 					b.Fatal("bad p")
 				}
@@ -195,32 +195,32 @@ func BenchmarkE6Speedup(b *testing.B) {
 // Wyllie ablation), bracket matching.
 func BenchmarkE7Primitives(b *testing.B) {
 	n := 1 << 18
-	data := make([]int, n)
+	data := make([]int32, n)
 	rng := rand.New(rand.NewPCG(5, 6))
 	for i := range data {
-		data[i] = rng.IntN(100)
+		data[i] = int32(rng.IntN(100))
 	}
 	b.Run("scan", func(b *testing.B) {
 		var time, work int64
 		for i := 0; i < b.N; i++ {
 			s := pram.New(pram.ProcsFor(n))
-			par.ScanInt(s, data)
+			par.ScanIx(s, data)
 			time += s.Time()
 			work += s.Work()
 		}
 		b.ReportMetric(float64(time)/float64(b.N)/lg2(n), "simtime/logn")
 		b.ReportMetric(float64(work)/float64(b.N)/float64(n), "simwork/n")
 	})
-	next := make([]int, n)
+	next := make([]int32, n)
 	for i := 0; i < n-1; i++ {
-		next[i] = i + 1
+		next[i] = int32(i + 1)
 	}
 	next[n-1] = -1
 	b.Run("listrank/workopt", func(b *testing.B) {
 		var time, work int64
 		for i := 0; i < b.N; i++ {
 			s := pram.New(pram.ProcsFor(n))
-			par.RankOpt(s, next, uint64(i))
+			par.RankOptIx(s, next, uint64(i))
 			time += s.Time()
 			work += s.Work()
 		}
@@ -231,7 +231,7 @@ func BenchmarkE7Primitives(b *testing.B) {
 		var time, work int64
 		for i := 0; i < b.N; i++ {
 			s := pram.New(pram.ProcsFor(n))
-			par.Rank(s, next)
+			par.RankIx(s, next)
 			time += s.Time()
 			work += s.Work()
 		}
@@ -246,7 +246,7 @@ func BenchmarkE7Primitives(b *testing.B) {
 		var time, work int64
 		for i := 0; i < b.N; i++ {
 			s := pram.New(pram.ProcsFor(n))
-			par.MatchBrackets(s, open)
+			par.MatchBracketsIx[int32](s, open)
 			time += s.Time()
 			work += s.Work()
 		}
@@ -266,7 +266,7 @@ func BenchmarkE8Euler(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := pram.New(pram.ProcsFor(n))
-				tour := par.TourBinary(s, bin.BinTree, uint64(i))
+				tour := par.TourBinaryIx(s, bin.BinTree, uint64(i))
 				tour.SubtreeCounts(s, bin.BinTree)
 				time += s.Time()
 				work += s.Work()
@@ -312,52 +312,6 @@ func BenchmarkSolverCover(b *testing.B) {
 				if _, err := sv.MinimumPathCover(g); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkServingWidths is the PR 8 memory-wall A/B: one reusable
-// Solver serving a serving-size-class graph (n = 3000, inside the
-// int16 tier) with the index width forced to each tier in turn. The
-// covers and the simulated counters are identical across the sub-
-// benchmarks — only the bytes per index element differ — so the ns/op
-// and B/op deltas isolate what the narrower kernels buy on the sizes
-// the Pool actually serves.
-func BenchmarkServingWidths(b *testing.B) {
-	const n = 3000
-	widths := []struct {
-		name string
-		w    IndexWidth
-	}{{"int16", Width16}, {"int32", Width32}, {"int", Width64}}
-	for _, wc := range widths {
-		b.Run(fmt.Sprintf("n=%d/width=%s/warm", n, wc.name), func(b *testing.B) {
-			g := Random(3, n, Mixed)
-			sv := NewSolver(WithIndexWidth(wc.w))
-			defer sv.Close()
-			if _, err := sv.MinimumPathCover(g); err != nil {
-				b.Fatal(err) // warm the arena
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sv.MinimumPathCover(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// Cold: a fresh Solver per op, so B/op shows the arena bytes the
-		// width actually claims (the warm rows amortise them away).
-		b.Run(fmt.Sprintf("n=%d/width=%s/cold", n, wc.name), func(b *testing.B) {
-			g := Random(3, n, Mixed)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sv := NewSolver(WithIndexWidth(wc.w))
-				if _, err := sv.MinimumPathCover(g); err != nil {
-					b.Fatal(err)
-				}
-				sv.Close()
 			}
 		})
 	}

@@ -79,8 +79,8 @@ type CacheStats struct {
 // Ineligible: uncached pools, raw graphs, pinned non-cograph backends,
 // and calls with an active fault injector (explicit or ambient via
 // PATHCOVER_FAULT) — fault runs must reach the pipeline every time.
-// WithIndexWidth is deliberately absent from the key: all widths
-// produce identical covers and counters.
+// WithWorkers is deliberately absent from the key: the worker count
+// changes execution, never covers or counters.
 func (p *Pool) cacheKey(g *Graph, opts []Option) (covercache.Key, *canon.Form, bool) {
 	if p.cache == nil || g.t == nil {
 		return covercache.Key{}, nil, false

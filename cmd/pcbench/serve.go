@@ -131,15 +131,14 @@ func streamMix(stream []svReq) (exact, approx int) {
 }
 
 // widthMix renders the per-index-width routing counts of a stream —
-// how many requests the auto dispatch sends to each kernel tier — for
-// the table headers, e.g. "201 int16 / 55 int32 / 0 int".
+// how many requests the dispatch sends to each kernel tier — for the
+// table headers, e.g. "201 int16 / 55 int32".
 func widthMix(stream []svReq) string {
 	counts := map[string]int{}
 	for _, r := range stream {
 		counts[pathcover.RouteWidth(r.g.N())]++
 	}
-	return fmt.Sprintf("%d int16 / %d int32 / %d int",
-		counts["int16"], counts["int32"], counts["int"])
+	return fmt.Sprintf("%d int16 / %d int32", counts["int16"], counts["int32"])
 }
 
 // drive runs the stream through call from C concurrent clients
@@ -277,7 +276,6 @@ func runServe() {
 
 	runServeBatch(stream, maxLg)
 	runServeZipf(maxLg)
-	runServeWidths()
 	runServeCluster(min(maxLg, 14))
 }
 
@@ -406,77 +404,6 @@ func runServeCluster(maxLg int) {
 	}
 	run("gateway, cache-affine ring", true)
 	run("uniform-random node", false)
-}
-
-// runServeWidths is the width-tier A/B: one serving-size-class cograph
-// catalog whose every entry fits the int16 bound (n ≤ 3270), served
-// three times through a pool whose shards are forced to int16, int32
-// and int kernels in turn. The graphs, the covers and the simulated
-// counters are identical across the three rows — only the index bytes
-// moved per element differ — so the wall-clock delta isolates what the
-// narrower width buys at the memory wall.
-func runServeWidths() {
-	shapes := []pathcover.Shape{pathcover.Mixed, pathcover.Balanced, pathcover.Caterpillar}
-	sizes := []int{512, 1024, 2048, 3000, pathcover.MaxInt16Vertices}
-	catalog := make([]svReq, 0, len(sizes)*len(shapes))
-	for i, n := range sizes {
-		for j, shape := range shapes {
-			g := pathcover.Random(*seed+uint64(i*len(shapes)+j), n, shape)
-			catalog = append(catalog, svReq{g: g, want: g.MinPathCoverSize(), exact: true})
-		}
-	}
-	stream := make([]svReq, *reqCount)
-	for i := range stream {
-		stream[i] = catalog[i%len(catalog)]
-	}
-	// One client, one shard: a pure-latency A/B. Concurrent clients on a
-	// loaded host measure the scheduler, not the kernels — the width
-	// delta is a per-solve bandwidth effect and needs sequential solves
-	// to show outside of noise. Widths are interleaved request by
-	// request (three pools live at once, each request solved on all
-	// three back to back) so host drift over the run cancels instead of
-	// biasing whichever width ran last.
-	header(fmt.Sprintf("S4 — index-width tiers, serving-class catalog of %d cographs (n ≤ %d), %d requests, 1 client, widths interleaved, identical covers per row",
-		len(catalog), pathcover.MaxInt16Vertices, len(stream)),
-		"forced width", "clients", "requests", "wall s", "req/s", "p50 ms", "p99 ms")
-	widths := []pathcover.IndexWidth{pathcover.Width16, pathcover.Width32, pathcover.Width64}
-	pools := make([]*pathcover.Pool, len(widths))
-	lats := make([][]time.Duration, len(widths))
-	walls := make([]time.Duration, len(widths))
-	for wi, w := range widths {
-		pools[wi] = pathcover.NewPool(pathcover.WithShards(1), pathcover.WithQueueDepth(-1),
-			pathcover.WithShardOptions(pathcover.WithSeed(*seed), pathcover.WithIndexWidth(w)))
-		defer pools[wi].Close()
-		// Warm the shard arena so no width pays first-touch allocation.
-		if _, err := pools[wi].MinimumPathCover(context.Background(), catalog[len(catalog)-1].g); err != nil {
-			panic(err)
-		}
-		lats[wi] = make([]time.Duration, 0, len(stream))
-	}
-	for _, r := range stream {
-		for wi := range widths {
-			t0 := time.Now()
-			cov, err := pools[wi].MinimumPathCover(context.Background(), r.g)
-			el := time.Since(t0)
-			if err != nil {
-				panic(err)
-			}
-			lats[wi] = append(lats[wi], el)
-			walls[wi] += el
-			if cov.NumPaths != r.want {
-				panic(fmt.Sprintf("S4 width %v: %d paths, want %d", widths[wi], cov.NumPaths, r.want))
-			}
-			if err := r.g.Verify(cov.Paths); err != nil {
-				panic(fmt.Sprintf("S4 width %v: invalid cover: %v", widths[wi], err))
-			}
-		}
-	}
-	for wi, w := range widths {
-		row(w.String(), "1", fmt.Sprint(len(stream)),
-			fmt.Sprintf("%.2f", walls[wi].Seconds()),
-			fmt.Sprintf("%.1f", float64(len(stream))/walls[wi].Seconds()),
-			ms(pctl(lats[wi], 0.50)), ms(pctl(lats[wi], 0.99)))
-	}
 }
 
 // buildZipfStream materialises a Zipf repeat-heavy cograph stream: the

@@ -25,21 +25,21 @@ func main() {
 				name, n, s.Time(), float64(s.Time())/lg, float64(s.Work())/float64(n))
 		}
 
-		data := make([]int, n)
+		data := make([]int32, n)
 		for i := range data {
-			data[i] = rng.IntN(10)
+			data[i] = int32(rng.IntN(10))
 		}
 		s := pram.New(pram.ProcsFor(n))
-		par.ScanInt(s, data)
+		par.ScanIx(s, data)
 		report("prefix sums", s)
 
-		next := make([]int, n)
+		next := make([]int32, n)
 		for i := 0; i < n-1; i++ {
-			next[i] = i + 1
+			next[i] = int32(i + 1)
 		}
 		next[n-1] = -1
 		s = pram.New(pram.ProcsFor(n))
-		par.RankOpt(s, next, 7)
+		par.RankOptIx(s, next, 7)
 		report("list ranking", s)
 
 		open := make([]bool, n)
@@ -47,14 +47,14 @@ func main() {
 			open[i] = rng.IntN(2) == 0
 		}
 		s = pram.New(pram.ProcsFor(n))
-		par.MatchBrackets(s, open)
+		par.MatchBracketsIx[int32](s, open)
 		report("bracket matching", s)
 
 		t := workload.Random(3, n, workload.Mixed)
 		setup := pram.NewSerial()
 		bin := t.Binarize(setup)
 		s = pram.New(pram.ProcsFor(n))
-		tour := par.TourBinary(s, bin.BinTree, 5)
+		tour := par.TourBinaryIx(s, bin.BinTree, 5)
 		tour.SubtreeCounts(s, bin.BinTree)
 		report("euler tour + counts", s)
 		fmt.Println()

@@ -18,8 +18,7 @@ const (
 )
 
 // The generators panic with a *SizeError for n < 0 or n > MaxVertices
-// (their signatures predate the guard); sizes inside that range but past
-// the narrow-index bound simply route the solver to the wide kernels.
+// (their signatures predate the guard).
 
 // Random returns a random cograph with n vertices, deterministic in the
 // seed.

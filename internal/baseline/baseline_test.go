@@ -138,7 +138,7 @@ func TestSequentialMatchesPathCountFormula(t *testing.T) {
 		paths := SequentialCover(b, L)
 		checkCover(t, tr, paths)
 		p := PathCounts(b, L)
-		if len(paths) != p[b.Root] {
+		if len(paths) != int(p[b.Root]) {
 			t.Fatalf("trial %d: cover has %d paths, recurrence says %d",
 				trial, len(paths), p[b.Root])
 		}

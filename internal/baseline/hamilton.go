@@ -6,7 +6,7 @@ import (
 
 // HasHamiltonianPath reports whether the cograph has a Hamiltonian path:
 // by the paper, exactly when p(root) = 1.
-func HasHamiltonianPath(b *cotree.Bin, L []int) bool {
+func HasHamiltonianPath(b *cotree.Bin, L []int32) bool {
 	return PathCounts(b, L)[b.Root] == 1
 }
 
@@ -19,7 +19,7 @@ func HasHamiltonianPath(b *cotree.Bin, L []int) bool {
 // around a cycle (all cross edges exist at a join). Necessity: removing
 // the L(w) vertices of G(w) from a Hamiltonian cycle leaves at most L(w)
 // arcs, which cover G(v), so p(v) <= L(w).
-func HasHamiltonianCycle(b *cotree.Bin, L []int) bool {
+func HasHamiltonianCycle(b *cotree.Bin, L []int32) bool {
 	n := b.NumVertices()
 	root := b.Root
 	if n < 3 || b.IsLeaf(root) || !b.One[root] {
@@ -31,14 +31,14 @@ func HasHamiltonianCycle(b *cotree.Bin, L []int) bool {
 
 // HamiltonianCycle constructs a Hamiltonian cycle when one exists
 // (sequentially, O(n)). The boolean reports existence.
-func HamiltonianCycle(b *cotree.Bin, L []int) ([]int, bool) {
+func HamiltonianCycle(b *cotree.Bin, L []int32) ([]int, bool) {
 	if !HasHamiltonianCycle(b, L) {
 		return nil, false
 	}
 	root := b.Root
 	v, w := b.Left[root], b.Right[root]
-	paths := CoverSubtree(b, L, v)
-	k := L[w]
+	paths := CoverSubtree(b, L, int(v))
+	k := int(L[w])
 	// Split the cover into exactly k paths (cut leading vertices off).
 	for len(paths) < k {
 		for i := 0; i < len(paths) && len(paths) < k; i++ {
@@ -49,7 +49,7 @@ func HamiltonianCycle(b *cotree.Bin, L []int) ([]int, bool) {
 		}
 	}
 	// Vertices of G(w).
-	ws := subtreeVertices(b, w)
+	ws := subtreeVertices(b, int(w))
 	cycle := make([]int, 0, b.NumVertices())
 	for i := 0; i < k; i++ {
 		cycle = append(cycle, paths[i]...)
@@ -59,7 +59,7 @@ func HamiltonianCycle(b *cotree.Bin, L []int) ([]int, bool) {
 }
 
 // HamiltonianPath returns a Hamiltonian path when one exists.
-func HamiltonianPath(b *cotree.Bin, L []int) ([]int, bool) {
+func HamiltonianPath(b *cotree.Bin, L []int32) ([]int, bool) {
 	paths := SequentialCover(b, L)
 	if len(paths) != 1 {
 		return nil, false
@@ -69,7 +69,7 @@ func HamiltonianPath(b *cotree.Bin, L []int) ([]int, bool) {
 
 // CoverSubtree computes a minimum path cover of G(u) for a node u of the
 // binarized cotree (the full SequentialCover is the u = root case).
-func CoverSubtree(b *cotree.Bin, L []int, u int) [][]int {
+func CoverSubtree(b *cotree.Bin, L []int32, u int) [][]int {
 	return sequentialCoverFrom(b, L, u)
 }
 
@@ -80,10 +80,10 @@ func subtreeVertices(b *cotree.Bin, u int) []int {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if b.IsLeaf(v) {
-			out = append(out, b.VertexOf[v])
+			out = append(out, int(b.VertexOf[v]))
 			continue
 		}
-		stack = append(stack, b.Left[v], b.Right[v])
+		stack = append(stack, int(b.Left[v]), int(b.Right[v]))
 	}
 	return out
 }

@@ -32,7 +32,7 @@ func checkCycle(tr *cotree.Tree, cyc []int) error {
 	return nil
 }
 
-func prep(tr *cotree.Tree) (*cotree.Bin, []int) {
+func prep(tr *cotree.Tree) (*cotree.Bin, []int32) {
 	s := pram.NewSerial()
 	b := tr.Binarize(s)
 	L := b.MakeLeftist(s, 1)

@@ -15,7 +15,7 @@ import (
 // The covers themselves are computed with the same linked-list machinery
 // as SequentialCover (the emulation concerns the cost model, not the
 // output), so NaiveCover doubles as a second correctness reference.
-func NaiveCover(s *pram.Sim, b *cotree.Bin, L []int) [][]int {
+func NaiveCover(s *pram.Sim, b *cotree.Bin, L []int32) [][]int {
 	n := b.NumNodes()
 	if n == 0 {
 		return nil
@@ -31,10 +31,10 @@ func NaiveCover(s *pram.Sim, b *cotree.Bin, L []int) [][]int {
 		if depth[u] > height {
 			height = depth[u]
 		}
-		for _, c := range []int{b.Left[u], b.Right[u]} {
+		for _, c := range []int32{b.Left[u], b.Right[u]} {
 			if c >= 0 {
 				depth[c] = depth[u] + 1
-				queue = append(queue, c)
+				queue = append(queue, int(c))
 			}
 		}
 	}
@@ -64,10 +64,10 @@ func Height(b *cotree.Bin) int {
 		if depth[u] > h {
 			h = depth[u]
 		}
-		for _, c := range []int{b.Left[u], b.Right[u]} {
+		for _, c := range []int32{b.Left[u], b.Right[u]} {
 			if c >= 0 {
 				depth[c] = depth[u] + 1
-				queue = append(queue, c)
+				queue = append(queue, int(c))
 			}
 		}
 	}

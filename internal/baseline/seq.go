@@ -34,13 +34,13 @@ type seqState struct {
 // linked paths so that case-1 bridging costs O(L(w)) amortized against
 // the drop in path count and case-2 splices whole existing paths of G(w)
 // as segments, touching only O(p(v) + p(w)) links.
-func SequentialCover(b *cotree.Bin, L []int) [][]int {
+func SequentialCover(b *cotree.Bin, L []int32) [][]int {
 	return sequentialCoverFrom(b, L, b.Root)
 }
 
 // sequentialCoverFrom runs the bottom-up merge for the subtree rooted at
 // the given cotree node and materializes its cover.
-func sequentialCoverFrom(b *cotree.Bin, L []int, from int) [][]int {
+func sequentialCoverFrom(b *cotree.Bin, L []int32, from int) [][]int {
 	n := b.NumVertices()
 	if n == 0 {
 		return nil
@@ -70,7 +70,7 @@ func sequentialCoverFrom(b *cotree.Bin, L []int, from int) [][]int {
 		f := &stack[len(stack)-1]
 		u := f.node
 		if b.IsLeaf(u) {
-			v := b.VertexOf[u]
+			v := int(b.VertexOf[u])
 			covers[u] = cover{first: v, last: v, paths: 1}
 			stack = stack[:len(stack)-1]
 			continue
@@ -78,15 +78,15 @@ func sequentialCoverFrom(b *cotree.Bin, L []int, from int) [][]int {
 		switch f.stage {
 		case 0:
 			f.stage = 1
-			stack = append(stack, frame{b.Left[u], 0})
+			stack = append(stack, frame{int(b.Left[u]), 0})
 		case 1:
 			f.stage = 2
-			stack = append(stack, frame{b.Right[u], 0})
+			stack = append(stack, frame{int(b.Right[u]), 0})
 		default:
 			cv, cw := covers[b.Left[u]], covers[b.Right[u]]
 			if !b.One[u] {
 				covers[u] = st.concat(cv, cw)
-			} else if cv.paths > L[b.Right[u]] {
+			} else if cv.paths > int(L[b.Right[u]]) {
 				covers[u] = st.bridge(cv, cw)
 			} else {
 				covers[u] = st.interleave(cv, cw)
@@ -263,9 +263,9 @@ func (st *seqState) interleave(cv, cw cover) cover {
 // PathCounts evaluates the Lin et al. recurrence for p(u) on every node
 // of a leftist binarized cotree by direct bottom-up recursion — the
 // sequential reference for the parallel tree-contraction of Step 3.
-func PathCounts(b *cotree.Bin, L []int) []int {
+func PathCounts(b *cotree.Bin, L []int32) []int32 {
 	n := b.NumNodes()
-	p := make([]int, n)
+	p := make([]int32, n)
 	// Post-order via stack.
 	type frame struct{ node, stage int }
 	stack := []frame{{b.Root, 0}}
@@ -280,10 +280,10 @@ func PathCounts(b *cotree.Bin, L []int) []int {
 		switch f.stage {
 		case 0:
 			f.stage = 1
-			stack = append(stack, frame{b.Left[u], 0})
+			stack = append(stack, frame{int(b.Left[u]), 0})
 		case 1:
 			f.stage = 2
-			stack = append(stack, frame{b.Right[u], 0})
+			stack = append(stack, frame{int(b.Right[u]), 0})
 		default:
 			if b.One[u] {
 				p[u] = p[b.Left[u]] - L[b.Right[u]]

@@ -56,9 +56,6 @@ type BracketSeqIx[I par.Ix] struct {
 	EffDummies int
 }
 
-// BracketSeq is the int-width bracket sequence, the historical form.
-type BracketSeq = BracketSeqIx[int]
-
 // Len returns the number of brackets.
 func (bs *BracketSeqIx[I]) Len() int { return len(bs.Vert) }
 
@@ -92,7 +89,7 @@ func (bs *BracketSeqIx[I]) Annotated(name func(id int) string) string {
 	return sb.String()
 }
 
-// GenBrackets emits B(R) (paper Step 4). The sequence is the
+// genBracketsIx emits B(R) (paper Step 4). The sequence is the
 // concatenation, over the leaves of Tblr in left-to-right order, of
 //
 //	primary leaf x:            x[ x( x(
@@ -103,10 +100,6 @@ func (bs *BracketSeqIx[I]) Annotated(name func(id int) string) string {
 // subtree, so the recursive definition B(u) = B(v)·block(u) linearizes
 // to leaf-rank order). Offsets come from one prefix sum; every bracket
 // is then decoded independently in O(1).
-func GenBrackets(s *pram.Sim, b *cotree.Bin, red *Reduction, withDummies bool) *BracketSeq {
-	return genBracketsIx(s, b, red, withDummies)
-}
-
 func genBracketsIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], red *ReductionIx[I], withDummies bool) *BracketSeqIx[I] {
 	n := red.NumVertices
 	unitLen := pram.Grab[I](s, n)

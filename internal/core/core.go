@@ -5,14 +5,14 @@
 //
 // The pipeline follows §5 of the paper:
 //
-//	Step 1  binarize the cotree                    (cotree.Binarize)
-//	Step 2  leaf counts + leftist reorder          (cotree.MakeLeftist)
-//	Step 3  p(u) by tree contraction; reduction    (ComputeP, Reduce)
-//	Step 4  bracket sequence B(R)                  (GenBrackets)
-//	Step 5  bracket matching -> pseudo path trees  (BuildPseudo)
-//	Step 6  exchange illegal inserts with dummies  (FixIllegal)
-//	Step 7  bypass dummy vertices                  (Bypass)
-//	Step 8  paths by Euler-tour inorder            (ExtractPaths)
+//	Step 1  binarize the cotree                    (cotree.BinarizeIx)
+//	Step 2  leaf counts + leftist reorder          (BinIx.MakeLeftist)
+//	Step 3  p(u) by tree contraction; reduction    (ComputePIx, reduceIx)
+//	Step 4  bracket sequence B(R)                  (genBracketsIx)
+//	Step 5  bracket matching -> pseudo path trees  (buildPseudoIx)
+//	Step 6  exchange illegal inserts with dummies  (fixIllegalIx)
+//	Step 7  bypass dummy vertices                  (bypassIx)
+//	Step 8  paths by Euler-tour inorder            (extractPathsIx)
 //
 // All phases run on the pram.Sim cost model through the primitives of
 // internal/par, so the simulated time/work counters measure the paper's
@@ -88,99 +88,48 @@ func (c *Cover) Release(s *pram.Sim) {
 	c.seq, c.Paths = nil, nil
 }
 
-// IndexWidth selects the element width of the pipeline's index arrays.
-type IndexWidth uint8
-
-const (
-	// WidthAuto picks the narrowest kernels every derived index fits —
-	// int16, then int32, then int (the default).
-	WidthAuto IndexWidth = iota
-	// WidthNarrow forces the int32 kernels (the caller guarantees the
-	// input is small enough; ParallelCover rejects inputs past the
-	// narrow bound rather than truncate).
-	WidthNarrow
-	// WidthWide forces the int kernels.
-	WidthWide
-	// WidthNarrow16 forces the int16 kernels, with the same
-	// force/reject semantics as WidthNarrow: inputs past
-	// MaxInt16Vertices are rejected rather than truncated.
-	WidthNarrow16
-)
-
-// String renders the width tier ("auto", "int16", "int32", "int").
-func (w IndexWidth) String() string {
-	switch w {
-	case WidthAuto:
-		return "auto"
-	case WidthNarrow16:
-		return "int16"
-	case WidthNarrow:
-		return "int32"
-	case WidthWide:
-		return "int"
-	}
-	return fmt.Sprintf("IndexWidth(%d)", uint8(w))
-}
-
-// MaxNarrowVertices is the largest vertex count the int32 pipeline
-// accepts. The binding constraint is not n itself but the largest id the
-// pipeline ever stores in a narrow cell: the dummy-augmented pseudo
-// forest has up to 3n-2 nodes, its Euler tour 3x that many items, and
-// the weighted list ranks over the tour sum to its length — all bounded
-// by 10n with room to spare, hence the /10.
+// MaxNarrowVertices is the largest vertex count the pipeline accepts. The
+// binding constraint is not n itself but the largest id the pipeline
+// ever stores in an int32 cell: the dummy-augmented pseudo forest has up
+// to 3n-2 nodes, its Euler tour 3x that many items, and the weighted list
+// ranks over the tour sum to its length — all bounded by 10n with room
+// to spare, hence the /10.
 const MaxNarrowVertices = (math.MaxInt32 - 64) / 10
 
-// MaxInt16Vertices is the largest vertex count the int16 pipeline
-// accepts, derived from the same 10n bound on the largest value any
-// pipeline cell holds (see MaxNarrowVertices). Small — 3270 — but the
-// serving size distribution is dominated by graphs under it, and those
-// requests stream a quarter of the bytes the int kernels would.
+// MaxInt16Vertices is the largest vertex count the int16 kernels hold,
+// derived from the same 10n bound (see MaxNarrowVertices). Small — 3270
+// — but the serving size distribution is dominated by graphs under it,
+// and those requests stream half the bytes the int32 kernels would.
 const MaxInt16Vertices = (math.MaxInt16 - 64) / 10
 
-// fitsNarrow reports whether an n-vertex cover can run on the int32
-// kernels without any derived value overflowing.
-func fitsNarrow(n int) bool { return n <= MaxNarrowVertices }
-
-// fitsNarrow16 reports whether an n-vertex cover can run on the int16
-// kernels without any derived value overflowing.
-func fitsNarrow16(n int) bool { return n <= MaxInt16Vertices }
-
-// maxVerticesFor returns the vertex bound of a forceable narrow width
-// (0 for widths without one).
-func maxVerticesFor(w IndexWidth) int {
-	switch w {
-	case WidthNarrow16:
-		return MaxInt16Vertices
-	case WidthNarrow:
-		return MaxNarrowVertices
+// RouteWidth names the index width ("int16" or "int32") the pipeline
+// runs an n-vertex input on.
+func RouteWidth(n int) string {
+	if n <= MaxInt16Vertices {
+		return "int16"
 	}
-	return 0
+	return "int32"
 }
 
-// WidthError reports a forced narrow index width the input does not fit:
-// the caller demanded kernels whose cells cannot hold every value an
-// n-vertex run derives, and the pipeline rejects rather than truncates.
-type WidthError struct {
-	N     int        // vertices in the rejected input
-	Max   int        // largest vertex count Width accepts
-	Width IndexWidth // the forced width that rejected
+// SizeError reports an input larger than MaxNarrowVertices: the pipeline
+// rejects it rather than truncate a derived index.
+type SizeError struct {
+	N   int // vertices in the rejected input
+	Max int // MaxNarrowVertices
 }
 
 // Error describes the rejected input and the bound it exceeded.
-func (e *WidthError) Error() string {
-	return fmt.Sprintf("core: %d vertices exceed the %s-index bound %d", e.N, e.Width, e.Max)
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("core: %d vertices exceed the pipeline bound %d", e.N, e.Max)
 }
 
-// AutoWidth reports the width WidthAuto resolves to for an n-vertex
-// input: the narrowest kernels every derived value fits.
-func AutoWidth(n int) IndexWidth {
-	switch {
-	case fitsNarrow16(n):
-		return WidthNarrow16
-	case fitsNarrow(n):
-		return WidthNarrow
+// checkSize returns a *SizeError when an n-vertex input is past the
+// int32 bound.
+func checkSize(n int) error {
+	if n > MaxNarrowVertices {
+		return &SizeError{N: n, Max: MaxNarrowVertices}
 	}
-	return WidthWide
+	return nil
 }
 
 // Options tune the pipeline (mostly for tests and experiments).
@@ -188,7 +137,6 @@ type Options struct {
 	Seed         uint64     // randomization seed for list ranking
 	WithoutDummy bool       // skip dummy vertices (Fig. 9/10 demonstrations only: produces pseudo path trees that may be invalid)
 	SkipFix      bool       // skip Step 6 (for observing illegal inserts)
-	Width        IndexWidth // index-array element width (default WidthAuto)
 	Trace        *StepTrace // when non-nil, per-step simulated costs are recorded
 	// Check, when non-nil, runs before every pipeline step ("step1"
 	// through "step8"): a non-nil return aborts the run with that error
@@ -257,41 +205,20 @@ func (tr *StepTrace) String() string {
 // ParallelCover runs the full pipeline on a cotree. The number of
 // simulated processors (and the goroutine parallelism) comes from s.
 //
-// The index width follows opt.Width: by default the whole pipeline —
-// binarization through path extraction — runs on the narrowest index
-// arrays the input fits (int16 up to MaxInt16Vertices, int32 up to
-// MaxNarrowVertices, int beyond), quartering or halving the bytes every
-// bandwidth-bound phase streams. All widths produce identical covers
-// and identical simulated cost counters.
+// The whole pipeline — binarization through path extraction — runs on
+// the narrowest index arrays the input fits: int16 up to
+// MaxInt16Vertices, int32 up to MaxNarrowVertices. Both widths produce
+// identical covers and identical simulated cost counters. Larger inputs
+// are rejected with a *SizeError.
 func ParallelCover(s *pram.Sim, t *cotree.Tree, opt Options) (*Cover, error) {
-	w, err := resolveWidth(t.NumVertices(), opt.Width)
-	if err != nil {
+	n := t.NumVertices()
+	if err := checkSize(n); err != nil {
 		return nil, err
 	}
-	switch w {
-	case WidthNarrow16:
+	if n <= MaxInt16Vertices {
 		return parallelCoverIx[int16](s, t, opt)
-	case WidthNarrow:
-		return parallelCoverIx[int32](s, t, opt)
 	}
-	return parallelCoverIx[int](s, t, opt)
-}
-
-// resolveWidth maps the requested index width onto a concrete route
-// (WidthNarrow16, WidthNarrow or WidthWide) for an n-vertex input,
-// rejecting a forced-narrow request the kernels cannot hold with a
-// *WidthError rather than truncating.
-func resolveWidth(n int, w IndexWidth) (IndexWidth, error) {
-	switch w {
-	case WidthNarrow16, WidthNarrow:
-		if max := maxVerticesFor(w); n > max {
-			return WidthWide, &WidthError{N: n, Max: max, Width: w}
-		}
-		return w, nil
-	case WidthWide:
-		return WidthWide, nil
-	}
-	return AutoWidth(n), nil
+	return parallelCoverIx[int32](s, t, opt)
 }
 
 func parallelCoverIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) (*Cover, error) {
@@ -314,11 +241,7 @@ func parallelCoverIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) (*Cover
 	return cov, err
 }
 
-// ParallelCoverBin runs Steps 3-8 on an already leftist binarized cotree.
-func ParallelCoverBin(s *pram.Sim, b *cotree.Bin, L []int, opt Options) (*Cover, error) {
-	return coverBinIx(s, b, L, opt)
-}
-
+// coverBinIx runs Steps 3-8 on an already leftist binarized cotree.
 func coverBinIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L []I, opt Options) (*Cover, error) {
 	opt.Trace.start()
 	n := b.NumVertices()
@@ -331,7 +254,7 @@ func coverBinIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L []I, opt Options) (
 	t0, w0 := s.Time(), s.Work()
 	tour, tourOwned := par.AcquireTourIx(s, b.BinTree, opt.Seed^0x9e37)
 	t0, w0 = opt.Trace.add(s, "3a euler tour", t0, w0)
-	p := computePIx(s, b, L, tour) // Step 3 (Lemma 2.4)
+	p := ComputePIx(s, b, L, tour) // Step 3 (Lemma 2.4)
 	t0, w0 = opt.Trace.add(s, "3b p(u) contraction", t0, w0)
 	red := reduceIx(s, b, L, p, tour)
 	t0, w0 = opt.Trace.add(s, "3c reduction", t0, w0)
@@ -395,14 +318,11 @@ func coverBinIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L []I, opt Options) (
 	return &Cover{Paths: paths, NumPaths: len(paths), Stats: s.Stats(), seq: seqBacking}, nil
 }
 
-// toIntPaths converts the arena-backed paths of a narrow run to the int
-// representation the Cover type exposes; the int instantiation is the
-// identity. The conversion is a host-level representation change (one
-// pass over n elements), not a simulated phase, so it charges nothing.
+// toIntPaths converts the arena-backed paths of a run to the int
+// representation the Cover type exposes. The conversion is a host-level
+// representation change (one pass over n elements), not a simulated
+// phase, so it charges nothing.
 func toIntPaths[I par.Ix](s *pram.Sim, pathsIx [][]I, backing []I) ([][]int, []int) {
-	if p, ok := any(pathsIx).([][]int); ok {
-		return p, any(backing).([]int)
-	}
 	seq := pram.GrabNoClear[int](s, len(backing))
 	for i, v := range backing {
 		seq[i] = int(v)
@@ -418,7 +338,7 @@ func toIntPaths[I par.Ix](s *pram.Sim, pathsIx [][]I, backing []I) ([][]int, []i
 	return paths, seq
 }
 
-// ComputeP evaluates the Lin et al. recurrence (Lemma 2.4)
+// ComputePIx evaluates the Lin et al. recurrence (Lemma 2.4)
 //
 //	p(leaf)   = 1
 //	p(0-node) = p(left) + p(right)
@@ -426,11 +346,7 @@ func toIntPaths[I par.Ix](s *pram.Sim, pathsIx [][]I, backing []I) ([][]int, []i
 //
 // for every node of the leftist binarized cotree by parallel tree
 // contraction in O(log n) time and O(n) work.
-func ComputeP(s *pram.Sim, b *cotree.Bin, L []int, tour *par.Tour) []int {
-	return computePIx(s, b, L, tour)
-}
-
-func computePIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L []I, tour *par.TourIx[I]) []I {
+func ComputePIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L []I, tour *par.TourIx[I]) []I {
 	nn := b.NumNodes()
 	op := pram.Grab[par.NodeOp](s, nn)
 	leafVal := pram.Grab[int64](s, nn)

@@ -98,7 +98,7 @@ func TestComputePMatchesRecurrence(t *testing.T) {
 			b := tr.Binarize(s)
 			L := b.MakeLeftist(s, uint64(trial))
 			tour := parTour(s, b, uint64(trial))
-			got := ComputeP(s, b, L, tour)
+			got := ComputePIx(s, b, L, tour)
 			want := baseline.PathCounts(b, L)
 			for u := range want {
 				if got[u] != want[u] {
@@ -113,10 +113,10 @@ func TestComputePMatchesRecurrence(t *testing.T) {
 func parTour(s *pram.Sim, b *cotree.Bin, seed uint64) *parTourT { return tourOf(s, b, seed) }
 
 // small indirection so tests read naturally.
-type parTourT = par.Tour
+type parTourT = par.TourIx[int32]
 
-func tourOf(s *pram.Sim, b *cotree.Bin, seed uint64) *par.Tour {
-	return par.TourBinary(s, b.BinTree, seed)
+func tourOf(s *pram.Sim, b *cotree.Bin, seed uint64) *par.TourIx[int32] {
+	return par.TourBinaryIx(s, b.BinTree, seed)
 }
 
 // Fig. 10 of the paper: cotree (1 (0 (1 a b) c) (0 d e f)) — a and c are
@@ -130,8 +130,8 @@ func TestFig10Brackets(t *testing.T) {
 	b := tr.Binarize(s)
 	L := b.MakeLeftist(s, 0)
 	tour := tourOf(s, b, 0)
-	p := ComputeP(s, b, L, tour)
-	red := Reduce(s, b, L, p, tour)
+	p := ComputePIx(s, b, L, tour)
+	red := reduceIx(s, b, L, p, tour)
 
 	// Roles as stated by the paper.
 	wantRole := map[string]Role{
@@ -146,7 +146,7 @@ func TestFig10Brackets(t *testing.T) {
 		}
 	}
 
-	seq := GenBrackets(s, b, red, false)
+	seq := genBracketsIx(s, b, red, false)
 	got := seq.Annotated(func(id int) string {
 		if id < 6 {
 			return tr.Name(id)
@@ -166,14 +166,14 @@ func TestFig10Brackets(t *testing.T) {
 	// Building the pseudo forest must reproduce the tree of Fig. 10:
 	// d is the root with left child a, right child c; b is a's right
 	// child; f is c's left child; e is c's right child.
-	ps, err := BuildPseudo(s, 6, red, seq)
+	ps, err := buildPseudoIx(s, 6, red, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := func(name string) int {
+	idx := func(name string) int32 {
 		for v := 0; v < 6; v++ {
 			if tr.Name(v) == name {
-				return v
+				return int32(v)
 			}
 		}
 		t.Fatalf("no vertex %s", name)
@@ -189,7 +189,7 @@ func TestFig10Brackets(t *testing.T) {
 	// Inorder of this pseudo tree is a b d f c e — the paper notes d-f
 	// (bridge next to insert of the same 1-node) is an illegal adjacency,
 	// which is exactly why dummies exist.
-	tour2 := par.TourBinary(s, ps.BinTree, 1)
+	tour2 := par.TourBinaryIx(s, ps.BinTree, 1)
 	order := make([]string, 6)
 	for v := 0; v < 6; v++ {
 		order[tour2.In[v]] = tr.Name(v)
@@ -364,9 +364,9 @@ func TestFig5Reduce(t *testing.T) {
 	b := tr.Binarize(s)
 	L := b.MakeLeftist(s, 0)
 	tour := tourOf(s, b, 0)
-	p := ComputeP(s, b, L, tour)
-	red := Reduce(s, b, L, p, tour)
-	nb, ni, nd := 0, 0, 0
+	p := ComputePIx(s, b, L, tour)
+	red := reduceIx(s, b, L, p, tour)
+	var nb, ni, nd int32
 	actives := 0
 	for u := 0; u < b.NumNodes(); u++ {
 		if red.Active[u] && red.NB[u]+red.NI[u] == 3 {
@@ -411,8 +411,8 @@ func TestFig12Capacity(t *testing.T) {
 		b := tr.Binarize(s)
 		L := b.MakeLeftist(s, 0)
 		tour := tourOf(s, b, 0)
-		p := ComputeP(s, b, L, tour)
-		red := Reduce(s, b, L, p, tour)
+		p := ComputePIx(s, b, L, tour)
+		red := reduceIx(s, b, L, p, tour)
 		for u := 0; u < b.NumNodes(); u++ {
 			if !red.Active[u] {
 				continue

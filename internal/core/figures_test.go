@@ -18,8 +18,8 @@ func TestFig6PathTree(t *testing.T) {
 	//    / \   / \
 	//   0   2 4   6
 	// inorder = 0 1 2 3 4 5 6.
-	bt := par.NewBinTree(7)
-	link := func(p, l, r int) {
+	bt := par.NewBinTreeIx[int32](7)
+	link := func(p, l, r int32) {
 		bt.Left[p], bt.Right[p] = l, r
 		bt.Parent[l], bt.Parent[r] = p, p
 	}
@@ -27,12 +27,12 @@ func TestFig6PathTree(t *testing.T) {
 	link(1, 0, 2)
 	link(5, 4, 6)
 	s := pram.New(3, pram.WithGrain(2))
-	paths, _ := ExtractPaths(s, bt, 9)
+	paths, _ := extractPathsIx(s, bt, 9)
 	if len(paths) != 1 {
 		t.Fatalf("%d trees, want 1", len(paths))
 	}
 	for i, v := range paths[0] {
-		if v != i {
+		if v != int32(i) {
 			t.Fatalf("inorder = %v, want 0..6", paths[0])
 		}
 	}
@@ -49,11 +49,11 @@ func TestFig7Case1(t *testing.T) {
 	b := tr.Binarize(s)
 	L := b.MakeLeftist(s, 0)
 	tour := tourOf(s, b, 0)
-	p := ComputeP(s, b, L, tour)
-	red := Reduce(s, b, L, p, tour)
+	p := ComputePIx(s, b, L, tour)
+	red := reduceIx(s, b, L, p, tour)
 
 	// Both w-vertices are bridges; no inserts, no dummies (Case 1).
-	nb, ni, nd := 0, 0, 0
+	var nb, ni, nd int32
 	for u := 0; u < b.NumNodes(); u++ {
 		if red.Active[u] {
 			nb += red.NB[u]
@@ -65,12 +65,12 @@ func TestFig7Case1(t *testing.T) {
 		t.Fatalf("case 1 block = (%d,%d,%d), want (2,0,0)", nb, ni, nd)
 	}
 
-	seq := GenBrackets(s, b, red, true)
-	ps, err := BuildPseudo(s, 6+1, red, seq)
+	seq := genBracketsIx(s, b, red, true)
+	ps, err := buildPseudoIx(s, 6+1, red, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := ExtractPaths(s, Bypass(s, ps, red, 1), 2)
+	paths, _ := extractPathsIx(s, bypassIx(s, ps, red, 1), 2)
 	if len(paths) != 3 {
 		t.Fatalf("%d paths, want 3 (p(v)-L(w) = 5-2)", len(paths))
 	}
@@ -108,8 +108,8 @@ func TestFig8Case2(t *testing.T) {
 	b := tr.Binarize(s)
 	L := b.MakeLeftist(s, 0)
 	tour := tourOf(s, b, 0)
-	p := ComputeP(s, b, L, tour)
-	red := Reduce(s, b, L, p, tour)
+	p := ComputePIx(s, b, L, tour)
+	red := reduceIx(s, b, L, p, tour)
 
 	// The root block: 3 bridges, 2 inserts, 6 dummies (2p(v)-2).
 	found := false

@@ -22,17 +22,17 @@ func BenchmarkFixIllegal(b *testing.B) {
 		bin := tr.Binarize(s)
 		L := bin.MakeLeftist(s, 0)
 		tour := tourOf(s, bin, 0)
-		p := ComputeP(s, bin, L, tour)
-		red := Reduce(s, bin, L, p, tour)
-		seq := GenBrackets(s, bin, red, true)
-		ps, err := BuildPseudo(s, tr.NumVertices(), red, seq)
+		p := ComputePIx(s, bin, L, tour)
+		red := reduceIx(s, bin, L, p, tour)
+		seq := genBracketsIx(s, bin, red, true)
+		ps, err := buildPseudoIx(s, tr.NumVertices(), red, seq)
 		if err != nil {
 			b.Fatal(err)
 		}
 		seq.Release(s)
 		tour.Release(s)
 		b.StartTimer()
-		sw, err := FixIllegal(s, ps, red, uint64(i))
+		sw, err := fixIllegalIx(s, ps, red, uint64(i))
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)

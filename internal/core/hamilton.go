@@ -18,9 +18,9 @@ import (
 // segments and interleaves the vertices of G(w) around the cycle with
 // prefix-sum arithmetic — O(log n) time, O(n) work end to end.
 //
-// Like ParallelCover, both constructions follow opt.Width: the
-// narrowest index kernels (int16, then int32) the input fits, int
-// otherwise.
+// Like ParallelCover, both constructions run on the narrowest index
+// kernels (int16, then int32) the input fits and reject larger inputs
+// with a *SizeError.
 
 // ParallelHamiltonianPath returns a Hamiltonian path computed by the
 // optimal parallel algorithm, or ok=false when none exists. The path is
@@ -44,17 +44,14 @@ func ParallelHamiltonianPath(s *pram.Sim, t *cotree.Tree, opt Options) ([]int, b
 // parallel pipeline, or ok=false when none exists. The cycle is drawn
 // from the Sim's arena; the caller owns (and may Release) it.
 func ParallelHamiltonianCycle(s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool, error) {
-	w, err := resolveWidth(t.NumVertices(), opt.Width)
-	if err != nil {
+	n := t.NumVertices()
+	if err := checkSize(n); err != nil {
 		return nil, false, err
 	}
-	switch w {
-	case WidthNarrow16:
+	if n <= MaxInt16Vertices {
 		return hamCycleIx[int16](s, t, opt)
-	case WidthNarrow:
-		return hamCycleIx[int32](s, t, opt)
 	}
-	return hamCycleIx[int](s, t, opt)
+	return hamCycleIx[int32](s, t, opt)
 }
 
 func hamCycleIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool, error) {
@@ -84,7 +81,7 @@ func hamCycleIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool
 			par.UnpinTourCacheIx[I](s)
 		}
 	}
-	p := computePIx(s, b, L, tour)
+	p := ComputePIx(s, b, L, tour)
 	v, w := b.Left[root], b.Right[root]
 	k := int(L[w])
 	pv := p[v]
@@ -216,14 +213,10 @@ func boolIxs[I par.Ix](s *pram.Sim, flags []bool, invert bool) []I {
 	return out
 }
 
-// ExtractSubtree carves the subtree of node v out of a binarized cotree
+// extractSubtreeIx carves the subtree of node v out of a binarized cotree
 // as a self-contained Bin with renumbered nodes and vertices. It returns
 // the new tree plus the node mapping old->new (-1 outside the subtree)
 // and the vertex mapping new vertex -> old vertex.
-func ExtractSubtree(s *pram.Sim, b *cotree.Bin, v int, tour *par.Tour) (*cotree.Bin, []int, []int) {
-	return extractSubtreeIx(s, b, v, tour)
-}
-
 func extractSubtreeIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], v int, tour *par.TourIx[I]) (*cotree.BinIx[I], []I, []I) {
 	nn := b.NumNodes()
 	inSub := pram.GrabNoClear[bool](s, nn)

@@ -136,18 +136,18 @@ func TestExtractSubtree(t *testing.T) {
 	s := pram.NewSerial()
 	b := tr.Binarize(s)
 	b.MakeLeftist(s, 1)
-	tour := par.TourBinary(s, b.BinTree, 1)
+	tour := par.TourBinaryIx(s, b.BinTree, 1)
 	// Extract the subtree holding {a,b,c} (a K3).
 	_, leaves := tour.SubtreeCounts(s, b.BinTree)
 	for u := 0; u < b.NumNodes(); u++ {
 		if b.IsLeaf(u) || leaves[u] != 3 {
 			continue
 		}
-		sub, toSub, fromSub := ExtractSubtree(s, b, u, tour)
+		sub, toSub, fromSub := extractSubtreeIx(s, b, u, tour)
 		if sub.NumVertices() != 3 || sub.NumNodes() != 5 {
 			t.Fatalf("extracted %d vertices / %d nodes", sub.NumVertices(), sub.NumNodes())
 		}
-		if toSub[u] != sub.Root || sub.Parent[sub.Root] != -1 {
+		if int(toSub[u]) != sub.Root || sub.Parent[sub.Root] != -1 {
 			t.Fatal("root mapping broken")
 		}
 		// All extracted vertices map to {a,b,c} or {d,e,f} consistently.

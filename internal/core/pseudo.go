@@ -8,8 +8,7 @@ import (
 )
 
 // BinTree re-aliases the width-generic binary forest of internal/par so
-// PseudoIx can embed it under the field name the int-width code has
-// always used.
+// PseudoIx can embed it under the field name BinTree.
 type BinTree[I par.Ix] = par.BinTreeIx[I]
 
 // PseudoIx is the pseudo path forest of Step 5, generic over the index
@@ -23,16 +22,13 @@ type PseudoIx[I par.Ix] struct {
 	EffDummies  int
 }
 
-// Pseudo is the int-width pseudo forest, the historical form.
-type Pseudo = PseudoIx[int]
-
 // Release returns the pseudo forest's link slices to the Sim's arena.
 func (ps *PseudoIx[I]) Release(s *pram.Sim) {
 	par.ReleaseBinTreeIx(s, ps.BinTree)
 	ps.BinTree = BinTree[I]{}
 }
 
-// BuildPseudo matches the square and round bracket families
+// buildPseudoIx matches the square and round bracket families
 // independently (Lemma 5.1(3)) and decodes the matched pairs into the
 // edges of the pseudo path forest:
 //
@@ -45,10 +41,6 @@ func (ps *PseudoIx[I]) Release(s *pram.Sim) {
 // unmatched ")" would leave an insert or dummy without a parent — the
 // capacity invariant S(x) >= L(x)+p(x) of §4 rules it out, and the
 // builder reports it as an error if it ever happens.
-func BuildPseudo(s *pram.Sim, n int, red *Reduction, seq *BracketSeq) (*Pseudo, error) {
-	return buildPseudoIx(s, n, red, seq)
-}
-
 func buildPseudoIx[I par.Ix](s *pram.Sim, n int, red *ReductionIx[I], seq *BracketSeqIx[I]) (*PseudoIx[I], error) {
 	total := seq.Len()
 	N := n + seq.EffDummies
@@ -122,7 +114,7 @@ func buildPseudoIx[I par.Ix](s *pram.Sim, n int, red *ReductionIx[I], seq *Brack
 	return ps, nil
 }
 
-// FixIllegal is Step 6. An insert vertex is illegal when one of its
+// fixIllegalIx is Step 6. An insert vertex is illegal when one of its
 // *effective* inorder neighbours — the nearest non-dummy in each
 // direction — is a bridge or insert vertex of the same active 1-node:
 // such pairs both live in G(w) of that node and carry no adjacency
@@ -141,10 +133,6 @@ func buildPseudoIx[I par.Ix](s *pram.Sim, n int, red *ReductionIx[I], seq *Brack
 // observed in practice are 1-3 (asserted bounded here).
 //
 // It returns the total number of exchanges performed.
-func FixIllegal(s *pram.Sim, ps *Pseudo, red *Reduction, seed uint64) (int, error) {
-	return fixIllegalIx(s, ps, red, seed)
-}
-
 func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], seed uint64) (int, error) {
 	n := red.NumVertices
 	N := ps.Len()
@@ -333,7 +321,10 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 
 		// Exchange: k-th illegal insert of node u takes the
 		// (k+round)-mod-legalCount legal dummy of u (the rotation breaks
-		// potential ping-pong cycles across rounds).
+		// potential ping-pong cycles across rounds). The phase body only
+		// picks partners; it never touches the forest, because two swaps
+		// whose vertices share a parent would otherwise read a child slot
+		// the other writes.
 		missing := pram.Grab[I](s, ni)
 		partner := pram.GrabNoClear[I](s, ni) // dummy swapped with insert k, or -1
 		s.ForCostRange(ni, 4, func(lo, hi int) {
@@ -356,18 +347,21 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 					missing[k] = 1
 					continue
 				}
-				swapPositions(ps, x, d)
 				partner[k] = d
 			}
 		})
 		nm := par.Reduce(s, missing, 0, func(a, b I) I { return a + b })
-		if !tourOwned {
-			// Patch the cached tour's successor links for every swap the
-			// phase performed, so the next round refreshes it with a single
-			// walk instead of a from-scratch rebuild (host-level, uncharged).
-			for k := 0; k < ni; k++ {
-				if d := partner[k]; d >= 0 {
-					par.PatchTourSwapIx(s, ps.BinTree, red.VertAt[insRanks[k]], d)
+		// Apply the swaps the phase decided. Each vertex is in at most one
+		// swap, so the swaps commute and k order gives the parallel
+		// result. The cached tour's successor links are patched alongside,
+		// so the next round refreshes it with a single walk instead of a
+		// from-scratch rebuild (host-level, uncharged).
+		for k := 0; k < ni; k++ {
+			if d := partner[k]; d >= 0 {
+				x := red.VertAt[insRanks[k]]
+				swapPositions(ps, x, d)
+				if !tourOwned {
+					par.PatchTourSwapIx(s, ps.BinTree, x, d)
 				}
 			}
 		}
@@ -386,7 +380,7 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 	}
 }
 
-// segIx is the segmented-sum monoid of FixIllegal's per-owner ranking
+// segIx is the segmented-sum monoid of fixIllegalIx's per-owner ranking
 // (a value plus a segment-restart flag).
 type segIx[I par.Ix] struct {
 	sum   I
@@ -417,14 +411,10 @@ func swapPositions[I par.Ix](ps *PseudoIx[I], x, y I) {
 	ps.Parent[x], ps.Parent[y] = py, px
 }
 
-// Bypass is Step 7: dummy vertices are spliced out. A dummy has at most
+// bypassIx is Step 7: dummy vertices are spliced out. A dummy has at most
 // one child (its only slot is the right one), so the dummies form
 // downward chains; chain collapse (list ranking on the dummy links)
 // finds each chain's first real descendant in O(log n) time.
-func Bypass(s *pram.Sim, ps *Pseudo, red *Reduction, seed uint64) par.BinTree {
-	return bypassIx(s, ps, red, seed)
-}
-
 func bypassIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], seed uint64) par.BinTreeIx[I] {
 	n := ps.NumVertices
 	N := ps.Len()
@@ -475,15 +465,11 @@ func bypassIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], seed 
 	return final
 }
 
-// ExtractPaths is Step 8: the paths are the inorder traversals of the
+// extractPathsIx is Step 8: the paths are the inorder traversals of the
 // final path trees, read off from one Euler tour of the forest. The
 // returned paths all slice into the returned backing buffer; both are
 // drawn from the Sim's arena (the Cover that wraps them owns their
 // release).
-func ExtractPaths(s *pram.Sim, final par.BinTree, seed uint64) (paths [][]int, backing []int) {
-	return extractPathsIx(s, final, seed)
-}
-
 func extractPathsIx[I par.Ix](s *pram.Sim, final par.BinTreeIx[I], seed uint64) (paths [][]I, backing []I) {
 	n := final.Len()
 	if n == 0 {

@@ -36,9 +36,6 @@ type ReductionIx[I par.Ix] struct {
 	L []I // L(u) per node
 }
 
-// Reduction is the int-width reduction, the historical form.
-type Reduction = ReductionIx[int]
-
 // Release returns the reduction's slices — including the P slice it took
 // ownership of, but not L, which stays with the caller — to the arena.
 func (r *ReductionIx[I]) Release(s *pram.Sim) {
@@ -79,16 +76,12 @@ func (r *ReductionIx[I]) OwnerOf(id int) int {
 	return int(r.Owner[id])
 }
 
-// Reduce performs the classification half of Step 3: it determines the
+// reduceIx performs the classification half of Step 3: it determines the
 // active 1-nodes, sizes their blocks (Case 1: L(w) bridges; Case 2:
 // p(v)-1 bridges, L(w)-p(v)+1 inserts, 2p(v)-2 dummies), and assigns
 // every vertex its role. O(log n) time, O(n) work: the bundle intervals
 // are resolved with leaf-rank scatter + prefix scans rather than
 // per-vertex ancestor walks.
-func Reduce(s *pram.Sim, b *cotree.Bin, L, p []int, tour *par.Tour) *Reduction {
-	return reduceIx(s, b, L, p, tour)
-}
-
 func reduceIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L, p []I, tour *par.TourIx[I]) *ReductionIx[I] {
 	nn := b.NumNodes()
 	n := b.NumVertices()

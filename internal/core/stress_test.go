@@ -37,14 +37,14 @@ func TestExchangeRoundCount(t *testing.T) {
 		b := tr.Binarize(s)
 		L := b.MakeLeftist(s, 0)
 		tour := tourOf(s, b, 0)
-		p := ComputeP(s, b, L, tour)
-		red := Reduce(s, b, L, p, tour)
-		seq := GenBrackets(s, b, red, true)
-		ps, err := BuildPseudo(s, tr.NumVertices(), red, seq)
+		p := ComputePIx(s, b, L, tour)
+		red := reduceIx(s, b, L, p, tour)
+		seq := genBracketsIx(s, b, red, true)
+		ps, err := buildPseudoIx(s, tr.NumVertices(), red, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := FixIllegal(s, ps, red, uint64(trial))
+		sw, err := fixIllegalIx(s, ps, red, uint64(trial))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -12,21 +12,33 @@ import (
 	"pathcover/internal/workload"
 )
 
-// The width/cutover differential suite: the int16, narrow (int32) and
-// wide (int) pipelines and the sequential baseline must agree on every
-// input, for every placement of the sequential-cutover threshold, and
-// the widths must additionally agree on the simulated cost counters
-// bit for bit.
+// The width/cutover differential suite: the int16 and int32 pipelines
+// and the sequential baseline must agree on every input, for every
+// placement of the sequential-cutover threshold, and the widths must
+// additionally agree on the simulated cost counters bit for bit.
+
+// width is one way to run the pipeline: an index width called directly,
+// or the n-based dispatch of ParallelCover.
+type width struct {
+	name string
+	run  func(*pram.Sim, *cotree.Tree, Options) (*Cover, error)
+}
+
+var (
+	width16  = width{"int16", parallelCoverIx[int16]}
+	width32  = width{"int32", parallelCoverIx[int32]}
+	dispatch = width{"dispatch", ParallelCover}
+)
 
 // coverWith runs one full parallel cover under the given width and
 // cutover and returns the paths plus the Sim's counters.
-func coverWith(t *testing.T, tr *workloadTree, width IndexWidth, cutover int) ([][]int, pram.Stats) {
+func coverWith(t *testing.T, tr *workloadTree, w width, cutover int) ([][]int, pram.Stats) {
 	t.Helper()
 	s := pram.New(pram.ProcsFor(tr.n), pram.WithWorkers(2), pram.WithGrain(64), pram.WithSeqCutover(cutover))
 	defer s.Close()
-	cov, err := ParallelCover(s, tr.tree, Options{Seed: tr.seed, Width: width})
+	cov, err := w.run(s, tr.tree, Options{Seed: tr.seed})
 	if err != nil {
-		t.Fatalf("%v cover (width=%d cutover=%d): %v", tr, width, cutover, err)
+		t.Fatalf("%v cover (width=%s cutover=%d): %v", tr, w.name, cutover, err)
 	}
 	paths := make([][]int, len(cov.Paths))
 	for i, p := range cov.Paths {
@@ -70,16 +82,16 @@ func checkInstance(t *testing.T, seed uint64, n int, shape workload.Shape) {
 	// size the pipeline will see, including the dispatch-everything and
 	// fuse-everything extremes.
 	cutovers := []int{-1, n / 2, n, 3*n + 1, 1 << 30}
-	widths := []IndexWidth{WidthNarrow, WidthWide}
-	if fitsNarrow16(n) {
-		widths = append(widths, WidthNarrow16)
+	widths := []width{width32}
+	if n <= MaxInt16Vertices {
+		widths = append(widths, width16)
 	}
 	var refPaths [][]int
 	var refStats pram.Stats
 	for ci, cut := range cutovers {
 		for _, width := range widths {
 			paths, stats := coverWith(t, tr, width, cut)
-			if ci == 0 && width == WidthNarrow {
+			if ci == 0 && width.name == width32.name {
 				refPaths, refStats = paths, stats
 				// The referee: valid cover, provably minimum size.
 				if err := verify.MinimumCover(tree, paths); err != nil {
@@ -88,12 +100,12 @@ func checkInstance(t *testing.T, seed uint64, n int, shape workload.Shape) {
 				continue
 			}
 			if !pathsEq(paths, refPaths) {
-				t.Fatalf("seed=%d n=%d %v width=%d cutover=%d: paths diverge from reference",
-					seed, n, shape, width, cut)
+				t.Fatalf("seed=%d n=%d %v width=%s cutover=%d: paths diverge from reference",
+					seed, n, shape, width.name, cut)
 			}
 			if stats.Time != refStats.Time || stats.Work != refStats.Work || stats.Phases != refStats.Phases {
-				t.Fatalf("seed=%d n=%d %v width=%d cutover=%d: stats %+v != reference %+v",
-					seed, n, shape, width, cut, stats, refStats)
+				t.Fatalf("seed=%d n=%d %v width=%s cutover=%d: stats %+v != reference %+v",
+					seed, n, shape, width.name, cut, stats, refStats)
 			}
 		}
 	}
@@ -128,7 +140,7 @@ func TestDifferentialWidthsAndCutover(t *testing.T) {
 	}
 }
 
-// TestHamiltonianCycleWidths pins the Width plumbing of the cycle
+// TestHamiltonianCycleWidths pins the width plumbing of the cycle
 // construction: both widths must agree on existence and on the cycle
 // itself, and produced cycles must verify against the graph.
 func TestHamiltonianCycleWidths(t *testing.T) {
@@ -142,30 +154,29 @@ func TestHamiltonianCycleWidths(t *testing.T) {
 	}
 	for ti, tree := range trees {
 		seed := rng.Uint64()
-		run := func(w IndexWidth) ([]int, bool) {
+		run := func(name string, cycle func(*pram.Sim, *cotree.Tree, Options) ([]int, bool, error)) ([]int, bool) {
 			s := pram.New(pram.ProcsFor(tree.NumVertices()), pram.WithWorkers(2), pram.WithGrain(64))
 			defer s.Close()
-			c, ok, err := ParallelHamiltonianCycle(s, tree, Options{Seed: seed, Width: w})
+			c, ok, err := cycle(s, tree, Options{Seed: seed})
 			if err != nil {
-				t.Fatalf("tree %d width %d: %v", ti, w, err)
+				t.Fatalf("tree %d width %s: %v", ti, name, err)
 			}
 			return append([]int(nil), c...), ok
 		}
-		nc, nok := run(WidthNarrow)
-		wc, wok := run(WidthWide)
-		hc, hok := run(WidthNarrow16)
-		if nok != wok || nok != hok {
-			t.Fatalf("tree %d: narrow ok=%v wide ok=%v int16 ok=%v", ti, nok, wok, hok)
+		nc, nok := run("int32", hamCycleIx[int32])
+		hc, hok := run("int16", hamCycleIx[int16])
+		if nok != hok {
+			t.Fatalf("tree %d: int32 ok=%v int16 ok=%v", ti, nok, hok)
 		}
 		if !nok {
 			continue
 		}
-		if len(nc) != len(wc) || len(nc) != len(hc) {
-			t.Fatalf("tree %d: cycle lengths %d vs %d vs %d", ti, len(nc), len(wc), len(hc))
+		if len(nc) != len(hc) {
+			t.Fatalf("tree %d: cycle lengths %d vs %d", ti, len(nc), len(hc))
 		}
 		for i := range nc {
-			if nc[i] != wc[i] || nc[i] != hc[i] {
-				t.Fatalf("tree %d: cycles diverge at %d: %d vs %d vs %d", ti, i, nc[i], wc[i], hc[i])
+			if nc[i] != hc[i] {
+				t.Fatalf("tree %d: cycles diverge at %d: %d vs %d", ti, i, nc[i], hc[i])
 			}
 		}
 		if err := verify.Cycle(tree, nc); err != nil {
@@ -174,91 +185,50 @@ func TestHamiltonianCycleWidths(t *testing.T) {
 	}
 }
 
-// TestResolveWidth asserts both directions of every width's dispatch:
-// auto routing at each bound, forced narrow widths accepted at their
-// bound and rejected one past it with a typed *WidthError, and the wide
-// width never rejecting.
-func TestResolveWidth(t *testing.T) {
-	cases := []struct {
-		n       int
-		req     IndexWidth
-		want    IndexWidth
-		wantErr bool
-	}{
-		{1, WidthAuto, WidthNarrow16, false},
-		{MaxInt16Vertices, WidthAuto, WidthNarrow16, false},
-		{MaxInt16Vertices + 1, WidthAuto, WidthNarrow, false},
-		{MaxNarrowVertices, WidthAuto, WidthNarrow, false},
-		{MaxNarrowVertices + 1, WidthAuto, WidthWide, false},
-		{MaxInt16Vertices, WidthNarrow16, WidthNarrow16, false},
-		{MaxInt16Vertices + 1, WidthNarrow16, 0, true},
-		{MaxNarrowVertices + 1, WidthNarrow16, 0, true},
-		{MaxInt16Vertices + 1, WidthNarrow, WidthNarrow, false},
-		{MaxNarrowVertices, WidthNarrow, WidthNarrow, false},
-		{MaxNarrowVertices + 1, WidthNarrow, 0, true},
-		{1, WidthWide, WidthWide, false},
-		{MaxNarrowVertices + 1, WidthWide, WidthWide, false},
-	}
-	for _, c := range cases {
-		got, err := resolveWidth(c.n, c.req)
-		if c.wantErr {
-			var we *WidthError
-			if err == nil {
-				t.Errorf("resolveWidth(%d, %v): no error, want *WidthError", c.n, c.req)
-			} else if !errors.As(err, &we) {
-				t.Errorf("resolveWidth(%d, %v): error %T %v, want *WidthError", c.n, c.req, err, err)
-			} else if we.N != c.n || we.Width != c.req || we.Max != maxVerticesFor(c.req) {
-				t.Errorf("resolveWidth(%d, %v): WidthError %+v carries wrong fields", c.n, c.req, we)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("resolveWidth(%d, %v): unexpected error %v", c.n, c.req, err)
-		} else if got != c.want {
-			t.Errorf("resolveWidth(%d, %v) = %v, want %v", c.n, c.req, got, c.want)
-		}
-		if c.req == WidthAuto && AutoWidth(c.n) != c.want {
-			t.Errorf("AutoWidth(%d) = %v, want %v", c.n, AutoWidth(c.n), c.want)
-		}
-	}
-}
-
 // TestInt16Boundary runs real covers at exactly MaxInt16Vertices and
-// one past it: the bound itself must serve on the int16 kernels (forced
-// and auto) with paths and counters identical to the wide run, and one
-// past the bound must reject a forced int16 while auto falls over to
-// int32 seamlessly.
+// one past it: at the bound the dispatch must pick the int16 kernels,
+// with paths and counters identical to an int32 run; one past it the
+// dispatch must fall over to int32. Past MaxNarrowVertices every entry
+// point rejects with a typed *SizeError.
 func TestInt16Boundary(t *testing.T) {
+	if got := RouteWidth(MaxInt16Vertices); got != "int16" {
+		t.Fatalf("RouteWidth(MaxInt16Vertices) = %q", got)
+	}
+	if got := RouteWidth(MaxInt16Vertices + 1); got != "int32" {
+		t.Fatalf("RouteWidth(MaxInt16Vertices+1) = %q", got)
+	}
 	at := workload.Random(301, MaxInt16Vertices, workload.Mixed)
 	trAt := &workloadTree{tree: at, n: MaxInt16Vertices, seed: 301, shape: workload.Mixed}
-	refPaths, refStats := coverWith(t, trAt, WidthWide, 0)
-	for _, w := range []IndexWidth{WidthNarrow16, WidthAuto} {
+	refPaths, refStats := coverWith(t, trAt, width32, 0)
+	for _, w := range []width{width16, dispatch} {
 		paths, stats := coverWith(t, trAt, w, 0)
 		if !pathsEq(paths, refPaths) {
-			t.Fatalf("n=MaxInt16Vertices width=%v: paths diverge from wide reference", w)
+			t.Fatalf("n=MaxInt16Vertices width=%s: paths diverge from int32 reference", w.name)
 		}
 		if stats != refStats {
-			t.Fatalf("n=MaxInt16Vertices width=%v: stats %+v != wide %+v", w, stats, refStats)
+			t.Fatalf("n=MaxInt16Vertices width=%s: stats %+v != int32 %+v", w.name, stats, refStats)
 		}
 	}
 
 	over := workload.Random(302, MaxInt16Vertices+1, workload.Mixed)
-	s := pram.New(pram.ProcsFor(MaxInt16Vertices+1), pram.WithWorkers(2))
-	defer s.Close()
-	var we *WidthError
-	if _, err := ParallelCover(s, over, Options{Seed: 302, Width: WidthNarrow16}); !errors.As(err, &we) {
-		t.Fatalf("forced int16 one past the bound: err = %v, want *WidthError", err)
-	} else if we.N != MaxInt16Vertices+1 || we.Max != MaxInt16Vertices || we.Width != WidthNarrow16 {
-		t.Fatalf("WidthError fields %+v", we)
-	}
 	trOver := &workloadTree{tree: over, n: MaxInt16Vertices + 1, seed: 302, shape: workload.Mixed}
-	wp, ws := coverWith(t, trOver, WidthWide, 0)
-	ap, as := coverWith(t, trOver, WidthAuto, 0)
+	wp, ws := coverWith(t, trOver, width32, 0)
+	ap, as := coverWith(t, trOver, dispatch, 0)
 	if !pathsEq(ap, wp) || as != ws {
-		t.Fatalf("auto one past the int16 bound diverges from wide")
+		t.Fatalf("dispatch one past the int16 bound diverges from int32")
 	}
 	if err := verify.MinimumCover(over, ap); err != nil {
 		t.Fatalf("n=MaxInt16Vertices+1: %v", err)
+	}
+
+	if err := checkSize(MaxNarrowVertices); err != nil {
+		t.Fatalf("checkSize(MaxNarrowVertices) = %v", err)
+	}
+	var se *SizeError
+	if err := checkSize(MaxNarrowVertices + 1); !errors.As(err, &se) {
+		t.Fatalf("checkSize past the int32 bound: err = %v, want *SizeError", err)
+	} else if se.N != MaxNarrowVertices+1 || se.Max != MaxNarrowVertices {
+		t.Fatalf("SizeError fields %+v", se)
 	}
 }
 

@@ -324,8 +324,7 @@ func (t *Tree) Validate() error {
 }
 
 // BinTree is the width-generic binary forest of internal/par, re-aliased
-// so BinIx can embed it under the field name the int-width code has
-// always used.
+// so BinIx can embed it under the field name BinTree.
 type BinTree[I par.Ix] = par.BinTreeIx[I]
 
 // BinIx is a binarized cotree (the paper's Tb(G), or Tbl(G) after
@@ -341,8 +340,10 @@ type BinIx[I par.Ix] struct {
 	Root     int
 }
 
-// Bin is the int-width binarized cotree, the historical form.
-type Bin = BinIx[int]
+// Bin is the int32 binarized cotree that Binarize returns: the form the
+// sequential reference algorithms (internal/baseline, internal/verify)
+// take.
+type Bin = BinIx[int32]
 
 // NumNodes returns the node count of the binarized tree.
 func (b *BinIx[I]) NumNodes() int { return b.Len() }
@@ -368,7 +369,7 @@ func (b *BinIx[I]) Release(s *pram.Sim) {
 // The phase structure is parallel: chain slots are allocated by a prefix
 // sum over (k-1) and each new node derives its links in O(1).
 func (t *Tree) Binarize(s *pram.Sim) *Bin {
-	return BinarizeIx[int](s, t)
+	return BinarizeIx[int32](s, t)
 }
 
 // BinarizeIx is Binarize onto a chosen index width (see par.Ix): the
@@ -457,13 +458,8 @@ func BinarizeIx[I par.Ix](s *pram.Sim, t *Tree) *BinIx[I] {
 	return b
 }
 
-// ScanIntOffset is a prefix sum with a starting base, returning also the
+// scanOffsetIx is a prefix sum with a starting base, returning also the
 // total (excluding the base).
-func ScanIntOffset(s *pram.Sim, in []int, base int) (off []int, total int) {
-	return scanOffsetIx(s, in, base)
-}
-
-// scanOffsetIx is the width-generic ScanIntOffset.
 func scanOffsetIx[I par.Ix](s *pram.Sim, in []I, base I) (off []I, total int) {
 	off, totalI := par.ScanIx(s, in)
 	s.ParallelForRange(len(off), func(lo, hi int) {

@@ -179,7 +179,7 @@ func binAdjacent(b *Bin, x, y int) bool {
 	if x == y {
 		return false
 	}
-	anc := map[int]bool{}
+	anc := map[int32]bool{}
 	for v := b.LeafOf[x]; v >= 0; v = b.Parent[v] {
 		anc[v] = true
 	}
@@ -232,7 +232,7 @@ func TestMakeLeftist(t *testing.T) {
 		if !b.IsLeftist(s, L) {
 			t.Fatal("MakeLeftist did not produce a leftist tree")
 		}
-		if L[b.Root] != tr.NumVertices() {
+		if int(L[b.Root]) != tr.NumVertices() {
 			t.Fatalf("L(root)=%d want %d", L[b.Root], tr.NumVertices())
 		}
 		n := tr.NumVertices()
@@ -258,8 +258,8 @@ func TestFig3Binarize(t *testing.T) {
 	}
 	// Walk down the left spine: each right child must be a leaf e,d,c,
 	// then the last left pair a,b.
-	v := b.Root
-	var rights []int
+	v := int32(b.Root)
+	var rights []int32
 	for b.Left[v] >= 0 {
 		if !b.One[v] {
 			t.Fatal("chain node lost its 1-label")
@@ -271,7 +271,7 @@ func TestFig3Binarize(t *testing.T) {
 		t.Fatalf("chain length %d want 4", len(rights))
 	}
 	// rights are leaves e, d, c, b (vertex ids 4,3,2,1); v is leaf a.
-	want := []int{4, 3, 2, 1}
+	want := []int32{4, 3, 2, 1}
 	for i, r := range rights {
 		if b.VertexOf[r] != want[i] {
 			t.Fatalf("right[%d] is vertex %d want %d", i, b.VertexOf[r], want[i])

@@ -40,7 +40,8 @@ type Key struct {
 // Entry is a finished cover in canonical vertex numbering. Verts holds
 // the concatenated paths back-to-back; Ends[i] is the end offset of
 // path i (path i is Verts[Ends[i-1]:Ends[i]]). The int32 element type
-// is safe: vertex ids are bounded by MaxVertices = MaxInt32.
+// is safe: vertex ids are bounded by pathcover.MaxVertices, the
+// pipeline's int32 bound of about 214M.
 type Entry struct {
 	Verts      []int32
 	Ends       []int32

@@ -154,7 +154,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Request latency by QoS tier (p50/p95/p99 via histogram_quantile).",
 		s.met.latency, "tier")
 	mw.CounterVec("pathcoverd_width_route_total",
-		"Solved covers by index-width route (int16/int32/int kernels).",
+		"Solved covers by index-width route (int16/int32 kernels).",
 		"width", s.met.widths.Snapshot())
 	mw.CounterVec("pathcoverd_shed_total",
 		"Requests shed by the QoS layer, by reason (cost = projected queue cost over budget, batch_share = batch tier at its admission share).",

@@ -19,150 +19,119 @@ func allocSim() *pram.Sim {
 	return pram.New(pram.ProcsFor(1<<15), pram.WithWorkers(2), pram.WithGrain(1024))
 }
 
-func TestScanIntAllocFree(t *testing.T) {
-	s := allocSim()
-	defer s.Close()
-	in := make([]int, 1<<15)
-	for i := range in {
-		in[i] = i % 7
+// allocFree fails t unless runs, executed back to back, allocate at
+// most perRun objects each per iteration in steady state (after one
+// warm-up pass).
+func allocFree(t *testing.T, what string, iters int, perRun float64, runs ...func()) {
+	t.Helper()
+	all := func() {
+		for _, r := range runs {
+			r()
+		}
 	}
-	run := func() {
-		out, _ := ScanInt(s, in)
+	all() // warm the arena and cached phase bodies
+	budget := perRun * float64(len(runs))
+	if allocs := testing.AllocsPerRun(iters, all); allocs > budget {
+		t.Errorf("%s allocates %.1f objects/op in steady state, want <= %.0f", what, allocs, budget)
+	}
+}
+
+// The un-suffixed pooled tests alternate the int16 and int32 kernels on
+// one Sim at a serving size both widths hold, the regime of a shard that
+// serves mixed request sizes: each width keeps its own per-Sim cached
+// state and size-classed freelists, and neither may evict or reallocate
+// the other's.
+
+func scanRun[I Ix](s *pram.Sim, n int) func() {
+	in := make([]I, n)
+	for i := range in {
+		in[i] = I(i % 7)
+	}
+	return func() {
+		out, _ := ScanIx(s, in)
 		pram.Release(s, out)
 	}
-	run() // warm the arena and cached phase bodies
-	if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
-		t.Errorf("ScanInt allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
 }
 
-func TestMaxScanIntAllocFree(t *testing.T) {
-	s := allocSim()
-	defer s.Close()
-	in := make([]int, 1<<15)
+func maxScanRun[I Ix](s *pram.Sim, n int) func() {
+	in := make([]I, n)
 	for i := range in {
-		in[i] = (i * 31) % 1000
+		in[i] = I((i * 31) % 1000)
 	}
-	run := func() {
-		pram.Release(s, MaxScanInt(s, in))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
-		t.Errorf("MaxScanInt allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	return func() { pram.Release(s, MaxScanIx(s, in)) }
 }
 
-func TestRankOptAllocFree(t *testing.T) {
-	s := allocSim()
-	defer s.Close()
-	n := 1 << 15
-	next := make([]int, n)
+func rankOptRun[I Ix](s *pram.Sim, n int) func() {
+	next := make([]I, n)
 	for i := 0; i < n-1; i++ {
-		next[i] = i + 1
+		next[i] = I(i + 1)
 	}
 	next[n-1] = -1
-	run := func() {
-		dist, last := RankOpt(s, next, 12345)
+	return func() {
+		dist, last := RankOptIx(s, next, 12345)
 		pram.Release(s, dist)
 		pram.Release(s, last)
 	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("RankOpt allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
 }
 
-func TestMatchBracketsAllocFree(t *testing.T) {
-	s := allocSim()
-	defer s.Close()
-	n := 1 << 15
+func bracketsRun[I Ix](s *pram.Sim, n int) func() {
 	rng := rand.New(rand.NewPCG(9, 9))
 	open := make([]bool, n)
 	for i := range open {
 		open[i] = rng.IntN(2) == 0
 	}
-	run := func() {
-		pram.Release(s, MatchBrackets(s, open))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("MatchBrackets allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	return func() { pram.Release(s, MatchBracketsIx[I](s, open)) }
 }
 
-// The narrow (int32) kernels keep their own per-width cached state and
-// size-classed freelists, so they are held to the same steady-state
-// zero-allocation bar as the int kernels.
+func TestScanIntAllocFree(t *testing.T) {
+	s := int16AllocSim()
+	defer s.Close()
+	allocFree(t, "ScanIx int16+int32", 20, 2, scanRun[int16](s, 3270), scanRun[int32](s, 3270))
+}
+
+func TestMaxScanIntAllocFree(t *testing.T) {
+	s := int16AllocSim()
+	defer s.Close()
+	allocFree(t, "MaxScanIx int16+int32", 20, 2, maxScanRun[int16](s, 3270), maxScanRun[int32](s, 3270))
+}
+
+func TestRankOptAllocFree(t *testing.T) {
+	s := int16AllocSim()
+	defer s.Close()
+	allocFree(t, "RankOptIx int16+int32", 10, 2, rankOptRun[int16](s, 3270), rankOptRun[int32](s, 3270))
+}
+
+func TestMatchBracketsAllocFree(t *testing.T) {
+	s := int16AllocSim()
+	defer s.Close()
+	allocFree(t, "MatchBracketsIx int16+int32", 10, 2, bracketsRun[int16](s, 3270), bracketsRun[int32](s, 3270))
+}
+
+// The int32 kernels on the pooled route at a size past the int16
+// envelope.
 
 func TestScanIxNarrowAllocFree(t *testing.T) {
 	s := allocSim()
 	defer s.Close()
-	in := make([]int32, 1<<15)
-	for i := range in {
-		in[i] = int32(i % 7)
-	}
-	run := func() {
-		out, _ := ScanIx(s, in)
-		pram.Release(s, out)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
-		t.Errorf("ScanIx[int32] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "ScanIx[int32]", 20, 2, scanRun[int32](s, 1<<15))
 }
 
 func TestMaxScanIxNarrowAllocFree(t *testing.T) {
 	s := allocSim()
 	defer s.Close()
-	in := make([]int32, 1<<15)
-	for i := range in {
-		in[i] = int32((i * 31) % 1000)
-	}
-	run := func() {
-		pram.Release(s, MaxScanIx(s, in))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
-		t.Errorf("MaxScanIx[int32] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "MaxScanIx[int32]", 20, 2, maxScanRun[int32](s, 1<<15))
 }
 
 func TestRankOptIxNarrowAllocFree(t *testing.T) {
 	s := allocSim()
 	defer s.Close()
-	n := 1 << 15
-	next := make([]int32, n)
-	for i := 0; i < n-1; i++ {
-		next[i] = int32(i + 1)
-	}
-	next[n-1] = -1
-	run := func() {
-		dist, last := RankOptIx(s, next, 12345)
-		pram.Release(s, dist)
-		pram.Release(s, last)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("RankOptIx[int32] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "RankOptIx[int32]", 10, 2, rankOptRun[int32](s, 1<<15))
 }
 
 func TestMatchBracketsIxNarrowAllocFree(t *testing.T) {
 	s := allocSim()
 	defer s.Close()
-	n := 1 << 15
-	rng := rand.New(rand.NewPCG(9, 9))
-	open := make([]bool, n)
-	for i := range open {
-		open[i] = rng.IntN(2) == 0
-	}
-	run := func() {
-		pram.Release(s, MatchBracketsIx[int32](s, open))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("MatchBracketsIx[int32] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "MatchBracketsIx[int32]", 10, 2, bracketsRun[int32](s, 1<<15))
 }
 
 // TestFusedPrimitivesAllocFree holds the fused sequential bodies (the
@@ -195,18 +164,16 @@ func TestFusedPrimitivesAllocFree(t *testing.T) {
 }
 
 // The fused data-dependent bodies (the charge-replay engines for
-// RankOpt, the Euler tour and its numberings, bracket matching and tree
-// contraction) are held to the same steady-state zero-allocation bar as
-// the data-independent ones, in both index widths. fusedDataSim forces
+// RankOptIx, the Euler tour and its numberings, bracket matching and
+// tree contraction) are held to the same steady-state zero-allocation bar
+// as the data-independent ones, in each index width and with both widths
+// alternating on one Sim (the un-suffixed tests). fusedDataSim forces
 // the fused routes everywhere.
 func fusedDataSim() *pram.Sim {
 	return pram.New(pram.ProcsFor(1<<14), pram.WithWorkers(2), pram.WithSeqCutover(1<<30))
 }
 
-func fusedRankOptAlloc[I Ix](t *testing.T) {
-	t.Helper()
-	s := fusedDataSim()
-	defer s.Close()
+func fusedRankOptRun[I Ix](s *pram.Sim) func() {
 	n := 1 << 14
 	next := make([]I, n)
 	rng := rand.New(rand.NewPCG(2, 4))
@@ -215,25 +182,35 @@ func fusedRankOptAlloc[I Ix](t *testing.T) {
 		next[perm[i]] = I(perm[i+1])
 	}
 	next[perm[n-1]] = -1
-	run := func() {
+	return func() {
 		dist, last := RankOptIx(s, next, 77)
 		pram.Release(s, dist)
 		pram.Release(s, last)
 	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("fused RankOptIx allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
 }
 
-func TestFusedRankOptAllocFree(t *testing.T)       { fusedRankOptAlloc[int](t) }
-func TestFusedRankOptNarrowAllocFree(t *testing.T) { fusedRankOptAlloc[int32](t) }
-func TestFusedRankOptInt16AllocFree(t *testing.T)  { fusedRankOptAlloc[int16](t) }
-
-func fusedTourAlloc[I Ix](t *testing.T) {
+func fusedAlloc(t *testing.T, what string, perRun float64, runs ...func(*pram.Sim) func()) {
 	t.Helper()
 	s := fusedDataSim()
 	defer s.Close()
+	bound := make([]func(), len(runs))
+	for i, r := range runs {
+		bound[i] = r(s)
+	}
+	allocFree(t, "fused "+what, 10, perRun, bound...)
+}
+
+func TestFusedRankOptAllocFree(t *testing.T) {
+	fusedAlloc(t, "RankOptIx int16+int32", 2, fusedRankOptRun[int16], fusedRankOptRun[int32])
+}
+func TestFusedRankOptNarrowAllocFree(t *testing.T) {
+	fusedAlloc(t, "RankOptIx[int32]", 2, fusedRankOptRun[int32])
+}
+func TestFusedRankOptInt16AllocFree(t *testing.T) {
+	fusedAlloc(t, "RankOptIx[int16]", 2, fusedRankOptRun[int16])
+}
+
+func fusedTourRun[I Ix](s *pram.Sim) func() {
 	n := 1 << 13
 	rng := rand.New(rand.NewPCG(3, 5))
 	tree := NewBinTreeIx[I](n)
@@ -248,7 +225,7 @@ func fusedTourAlloc[I Ix](t *testing.T) {
 		}
 		tree.Parent[v] = I(p)
 	}
-	run := func() {
+	return func() {
 		tour := TourBinaryIx(s, tree, 5)
 		ranks, _ := tour.LeafRanks(s, tree)
 		pram.Release(s, ranks)
@@ -257,44 +234,32 @@ func fusedTourAlloc[I Ix](t *testing.T) {
 		pram.Release(s, leaves)
 		tour.Release(s)
 	}
-	run()
-	// One *TourIx header escapes per build; everything else must recycle.
-	if allocs := testing.AllocsPerRun(10, run); allocs > 3 {
-		t.Errorf("fused TourBinaryIx+numberings allocate %.1f objects/op in steady state, want <= 3", allocs)
-	}
 }
 
-func TestFusedTourAllocFree(t *testing.T)       { fusedTourAlloc[int](t) }
-func TestFusedTourNarrowAllocFree(t *testing.T) { fusedTourAlloc[int32](t) }
-func TestFusedTourInt16AllocFree(t *testing.T)  { fusedTourAlloc[int16](t) }
-
-func fusedBracketsAlloc[I Ix](t *testing.T) {
-	t.Helper()
-	s := fusedDataSim()
-	defer s.Close()
-	n := 1 << 14
-	rng := rand.New(rand.NewPCG(6, 6))
-	open := make([]bool, n)
-	for i := range open {
-		open[i] = rng.IntN(2) == 0
-	}
-	run := func() {
-		pram.Release(s, MatchBracketsIx[I](s, open))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("fused MatchBracketsIx allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+// One *TourIx header escapes per build; everything else must recycle.
+func TestFusedTourAllocFree(t *testing.T) {
+	fusedAlloc(t, "TourBinaryIx+numberings int16+int32", 3, fusedTourRun[int16], fusedTourRun[int32])
+}
+func TestFusedTourNarrowAllocFree(t *testing.T) {
+	fusedAlloc(t, "TourBinaryIx+numberings[int32]", 3, fusedTourRun[int32])
+}
+func TestFusedTourInt16AllocFree(t *testing.T) {
+	fusedAlloc(t, "TourBinaryIx+numberings[int16]", 3, fusedTourRun[int16])
 }
 
-func TestFusedMatchBracketsAllocFree(t *testing.T)       { fusedBracketsAlloc[int](t) }
-func TestFusedMatchBracketsNarrowAllocFree(t *testing.T) { fusedBracketsAlloc[int32](t) }
-func TestFusedMatchBracketsInt16AllocFree(t *testing.T)  { fusedBracketsAlloc[int16](t) }
+func fusedBracketsRun[I Ix](s *pram.Sim) func() { return bracketsRun[I](s, 1<<14) }
 
-func fusedEvalTreeAlloc[I Ix](t *testing.T) {
-	t.Helper()
-	s := fusedDataSim()
-	defer s.Close()
+func TestFusedMatchBracketsAllocFree(t *testing.T) {
+	fusedAlloc(t, "MatchBracketsIx int16+int32", 2, fusedBracketsRun[int16], fusedBracketsRun[int32])
+}
+func TestFusedMatchBracketsNarrowAllocFree(t *testing.T) {
+	fusedAlloc(t, "MatchBracketsIx[int32]", 2, fusedBracketsRun[int32])
+}
+func TestFusedMatchBracketsInt16AllocFree(t *testing.T) {
+	fusedAlloc(t, "MatchBracketsIx[int16]", 2, fusedBracketsRun[int16])
+}
+
+func fusedEvalTreeRun[I Ix](s *pram.Sim) func() {
 	m := 1 << 12
 	n := 2*m - 1
 	tree := NewBinTreeIx[I](n)
@@ -317,22 +282,25 @@ func fusedEvalTreeAlloc[I Ix](t *testing.T) {
 	for v := inner; v < n; v++ {
 		leafVal[v] = 1
 	}
-	s2 := fusedDataSim()
-	defer s2.Close()
+	// The leaf ranks come from a throwaway Sim so the measured one sees
+	// only the contraction.
+	s2 := pram.NewSerial()
 	tour := TourBinaryIx(s2, tree, 1)
 	ranks, _ := tour.LeafRanks(s2, tree)
-	run := func() {
+	return func() {
 		pram.Release(s, EvalTreeIx(s, tree, op, leafVal, ranks))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("fused EvalTreeIx allocates %.1f objects/op in steady state, want <= 2", allocs)
 	}
 }
 
-func TestFusedEvalTreeAllocFree(t *testing.T)       { fusedEvalTreeAlloc[int](t) }
-func TestFusedEvalTreeNarrowAllocFree(t *testing.T) { fusedEvalTreeAlloc[int32](t) }
-func TestFusedEvalTreeInt16AllocFree(t *testing.T)  { fusedEvalTreeAlloc[int16](t) }
+func TestFusedEvalTreeAllocFree(t *testing.T) {
+	fusedAlloc(t, "EvalTreeIx int16+int32", 2, fusedEvalTreeRun[int16], fusedEvalTreeRun[int32])
+}
+func TestFusedEvalTreeNarrowAllocFree(t *testing.T) {
+	fusedAlloc(t, "EvalTreeIx[int32]", 2, fusedEvalTreeRun[int32])
+}
+func TestFusedEvalTreeInt16AllocFree(t *testing.T) {
+	fusedAlloc(t, "EvalTreeIx[int16]", 2, fusedEvalTreeRun[int16])
+}
 
 // The int16 kernels on the dispatched (phase-structured) route, at a
 // size inside their serving envelope and with the fused cutover
@@ -344,55 +312,19 @@ func int16AllocSim() *pram.Sim {
 func TestScanIxInt16AllocFree(t *testing.T) {
 	s := int16AllocSim()
 	defer s.Close()
-	in := make([]int16, 3270)
-	for i := range in {
-		in[i] = int16(i % 7) // total ≈ 9.8K, inside int16
-	}
-	run := func() {
-		out, _ := ScanIx(s, in)
-		pram.Release(s, out)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
-		t.Errorf("ScanIx[int16] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "ScanIx[int16]", 20, 2, scanRun[int16](s, 3270)) // total ≈ 9.8K, inside int16
 }
 
 func TestRankOptIxInt16AllocFree(t *testing.T) {
 	s := int16AllocSim()
 	defer s.Close()
-	n := 3270
-	next := make([]int16, n)
-	for i := 0; i < n-1; i++ {
-		next[i] = int16(i + 1)
-	}
-	next[n-1] = -1
-	run := func() {
-		dist, last := RankOptIx(s, next, 12345)
-		pram.Release(s, dist)
-		pram.Release(s, last)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("RankOptIx[int16] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "RankOptIx[int16]", 10, 2, rankOptRun[int16](s, 3270))
 }
 
 func TestMatchBracketsIxInt16AllocFree(t *testing.T) {
 	s := int16AllocSim()
 	defer s.Close()
-	rng := rand.New(rand.NewPCG(9, 9))
-	open := make([]bool, 3270)
-	for i := range open {
-		open[i] = rng.IntN(2) == 0
-	}
-	run := func() {
-		pram.Release(s, MatchBracketsIx[int16](s, open))
-	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("MatchBracketsIx[int16] allocates %.1f objects/op in steady state, want <= 2", allocs)
-	}
+	allocFree(t, "MatchBracketsIx[int16]", 10, 2, bracketsRun[int16](s, 3270))
 }
 
 // TestPrimitivesMatchSerialAfterReuse drives the pooled primitives
@@ -408,46 +340,46 @@ func TestPrimitivesMatchSerialAfterReuse(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 2))
 	for iter := 0; iter < 25; iter++ {
 		n := 512 + rng.IntN(4096)
-		in := make([]int, n)
+		in := make([]int32, n)
 		open := make([]bool, n)
-		next := make([]int, n)
+		next := make([]int32, n)
 		perm := rng.Perm(n)
 		for i := range in {
-			in[i] = rng.IntN(100)
+			in[i] = int32(rng.IntN(100))
 			open[i] = rng.IntN(2) == 0
 			if i < n-1 {
-				next[perm[i]] = perm[i+1]
+				next[perm[i]] = int32(perm[i+1])
 			}
 		}
 		next[perm[n-1]] = -1
 
-		out, total := ScanInt(s, in)
-		wantOut, wantTotal := ScanInt(ser, in)
+		out, total := ScanIx(s, in)
+		wantOut, wantTotal := ScanIx(ser, in)
 		if total != wantTotal {
-			t.Fatalf("iter %d: ScanInt total %d want %d", iter, total, wantTotal)
+			t.Fatalf("iter %d: ScanIx total %d want %d", iter, total, wantTotal)
 		}
 		for i := range out {
 			if out[i] != wantOut[i] {
-				t.Fatalf("iter %d: ScanInt[%d] = %d want %d", iter, i, out[i], wantOut[i])
+				t.Fatalf("iter %d: ScanIx[%d] = %d want %d", iter, i, out[i], wantOut[i])
 			}
 		}
 		pram.Release(s, out)
 
-		match := MatchBrackets(s, open)
-		want := make([]int, n)
+		match := MatchBracketsIx[int32](s, open)
+		want := make([]int32, n)
 		matchSerial(open, want)
 		for i := range match {
 			if match[i] != want[i] {
-				t.Fatalf("iter %d: MatchBrackets[%d] = %d want %d", iter, i, match[i], want[i])
+				t.Fatalf("iter %d: MatchBracketsIx[%d] = %d want %d", iter, i, match[i], want[i])
 			}
 		}
 		pram.Release(s, match)
 
-		dist, last := RankOpt(s, next, uint64(iter))
-		wd, wl := RankOpt(ser, next, uint64(iter))
+		dist, last := RankOptIx(s, next, uint64(iter))
+		wd, wl := RankOptIx(ser, next, uint64(iter))
 		for i := range dist {
 			if dist[i] != wd[i] || last[i] != wl[i] {
-				t.Fatalf("iter %d: RankOpt[%d] = (%d,%d) want (%d,%d)",
+				t.Fatalf("iter %d: RankOptIx[%d] = (%d,%d) want (%d,%d)",
 					iter, i, dist[i], last[i], wd[i], wl[i])
 			}
 		}

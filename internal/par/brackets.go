@@ -2,16 +2,11 @@ package par
 
 import "pathcover/internal/pram"
 
-// MatchBrackets finds all matching pairs in a (not necessarily balanced)
+// MatchBracketsIx finds all matching pairs in a (not necessarily balanced)
 // bracket sequence: open[i] reports whether position i holds an opening
 // bracket. It returns match[i] = index of i's partner, or -1 for
 // unmatched brackets. This is Lemma 5.1(3) of the paper and the engine
 // behind Step 5 of the path-cover algorithm.
-func MatchBrackets(s *pram.Sim, open []bool) []int {
-	return MatchBracketsIx[int](s, open)
-}
-
-// MatchBracketsIx is the width-generic MatchBrackets (see Ix).
 //
 // The parallel algorithm is the classical block-decomposition scheme
 // (Bar-On–Vishkin family), O(log n) time and O(n) work on the simulator:
@@ -199,7 +194,7 @@ func ensureLen[I Ix](b []I, n int) []I {
 	return nb
 }
 
-// bracketState is the reusable per-(Sim, width) state of MatchBrackets.
+// bracketState is the reusable per-(Sim, width) state of MatchBracketsIx.
 type bracketState[I Ix] struct {
 	open         []bool
 	match        []I

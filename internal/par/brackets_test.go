@@ -17,8 +17,8 @@ func opensOf(s string) []bool {
 	return out
 }
 
-func refMatch(open []bool) []int {
-	match := make([]int, len(open))
+func refMatch(open []bool) []int32 {
+	match := make([]int32, len(open))
 	matchSerial(open, match)
 	return match
 }
@@ -26,7 +26,7 @@ func refMatch(open []bool) []int {
 func checkMatch(t *testing.T, sim *pram.Sim, seq string) {
 	t.Helper()
 	open := opensOf(seq)
-	got := MatchBrackets(sim, open)
+	got := MatchBracketsIx[int32](sim, open)
 	want := refMatch(open)
 	for i := range want {
 		if got[i] != want[i] {
@@ -116,17 +116,17 @@ func TestMatchBracketsInvolution(t *testing.T) {
 			open[i] = rng.IntN(2) == 0
 		}
 		sim := pram.New(1+int(procs%16), pram.WithGrain(16))
-		m := MatchBrackets(sim, open)
+		m := MatchBracketsIx[int32](sim, open)
 		want := refMatch(open)
 		for i := 0; i < n; i++ {
 			if m[i] != want[i] {
 				return false
 			}
 			if m[i] >= 0 {
-				if m[m[i]] != i || open[i] == open[m[i]] {
+				if m[m[i]] != int32(i) || open[i] == open[m[i]] {
 					return false
 				}
-				if open[i] && m[i] < i {
+				if open[i] && int(m[i]) < i {
 					return false
 				}
 			}
@@ -146,7 +146,7 @@ func TestMatchBracketsCostBounds(t *testing.T) {
 		open[i] = rng.IntN(2) == 0
 	}
 	s := pram.New(pram.ProcsFor(n), pram.WithGrain(1<<30))
-	MatchBrackets(s, open)
+	MatchBracketsIx[int32](s, open)
 	lg := 16
 	if s.Time() > int64(60*lg) {
 		t.Errorf("bracket matching time %d exceeds 60 log n = %d", s.Time(), 60*lg)

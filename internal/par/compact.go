@@ -2,14 +2,9 @@ package par
 
 import "pathcover/internal/pram"
 
-// Pack returns the elements of in whose keep flag is set, preserving
-// order (stable stream compaction). O(log n) time, O(n) work via one scan
-// and one scatter.
-func Pack[T any](s *pram.Sim, in []T, keep []bool) []T {
-	return PackIx[int](s, in, keep)
-}
-
-// PackIx is Pack with a chosen width for the internal index arrays.
+// PackIx returns the elements of in whose keep flag is set, preserving
+// order (stable stream compaction), with index arrays of width I.
+// O(log n) time, O(n) work via one scan and one scatter.
 func PackIx[I Ix, T any](s *pram.Sim, in []T, keep []bool) []T {
 	idx := IndexPackIx[I](s, keep)
 	out := pram.GrabNoClear[T](s, len(idx))
@@ -18,13 +13,8 @@ func PackIx[I Ix, T any](s *pram.Sim, in []T, keep []bool) []T {
 	return out
 }
 
-// IndexPack returns, in increasing order, the indices i with keep[i]
+// IndexPackIx returns, in increasing order, the indices i with keep[i]
 // set.
-func IndexPack(s *pram.Sim, keep []bool) []int {
-	return IndexPackIx[int](s, keep)
-}
-
-// IndexPackIx is the width-generic IndexPack (see Ix).
 func IndexPackIx[I Ix](s *pram.Sim, keep []bool) []I {
 	n := len(keep)
 	if n > 0 && s.PreferSequential(n) {
@@ -67,7 +57,7 @@ func IndexPackIx[I Ix](s *pram.Sim, keep []bool) []I {
 	return out
 }
 
-// packState keeps the phase bodies of IndexPack reusable per (Sim,
+// packState keeps the phase bodies of IndexPackIx reusable per (Sim,
 // width).
 type packState[I Ix] struct {
 	keep            []bool
@@ -115,7 +105,7 @@ func (st *packState[I]) run(lo, hi int) {
 	}
 }
 
-// Distribute expands variable-length segments: given segment lengths,
+// DistributeIx expands variable-length segments: given segment lengths,
 // it returns (owner, offset, total) where for each item t in [0, total)
 // of the concatenation, owner[t] is the segment it belongs to and
 // offset[t] its position within that segment.
@@ -124,11 +114,6 @@ func (st *packState[I]) run(lo, hi int) {
 // each segment receives the segment id, and an inclusive prefix maximum
 // broadcasts ids across items — O(log n) time, O(total + segments) work,
 // EREW.
-func Distribute(s *pram.Sim, lengths []int) (owner, offset []int, total int) {
-	return DistributeIx(s, lengths)
-}
-
-// DistributeIx is the width-generic Distribute (see Ix).
 func DistributeIx[I Ix](s *pram.Sim, lengths []I) (owner, offset []I, total int) {
 	nseg := len(lengths)
 	// The starts scan runs first either way (it auto-fuses below the

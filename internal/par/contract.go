@@ -115,18 +115,13 @@ type rakeRec[I Ix] struct {
 	xLeft     bool
 }
 
-// EvalTree evaluates the expression tree t — op[v] for internal nodes,
+// EvalTreeIx evaluates the expression tree t — op[v] for internal nodes,
 // leafVal[v] for leaves — and returns the value of every node. t must be
 // a single binary tree in which every internal node has exactly two
 // children. leafRank must number the leaves 0..m-1 left to right (as
-// produced by Tour.LeafRanks).
-func EvalTree(s *pram.Sim, t BinTree, op []NodeOp, leafVal []int64, leafRank []int) []int64 {
-	return EvalTreeIx(s, t, op, leafVal, leafRank)
-}
-
-// EvalTreeIx is the width-generic EvalTree (see Ix): the mutable link
-// structure and the rake records ride on the narrow width; the
-// expression values themselves stay int64.
+// produced by TourIx.LeafRanks). The mutable link structure and the
+// rake records ride on the index width I; the expression values
+// themselves stay int64.
 func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64, leafRank []I) []int64 {
 	n := t.Len()
 	val := pram.Grab[int64](s, n)
@@ -144,16 +139,22 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 		chargeEvalTree(s, t, leafRank)
 		return val
 	}
-	// Working copies of the mutable link structure.
+	// Working copies of the mutable link structure. isLeft[v] records
+	// which child slot v occupies, so a rake decides every side from its
+	// own nodes' flags: two rakes under one grandparent (possible when a
+	// single even leaf separates their odd leaves) write different slots
+	// of that grandparent, and neither may read the slot the other writes.
 	left := pram.GrabNoClear[I](s, n)
 	right := pram.GrabNoClear[I](s, n)
 	parent := pram.GrabNoClear[I](s, n)
+	isLeft := pram.GrabNoClear[bool](s, n)
 	f := pram.GrabNoClear[MaxPlus](s, n)
 	num := pram.Grab[I](s, n)
 	isLeaf := pram.GrabNoClear[bool](s, n)
 	s.ForCostRange(n, 2, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			left[v], right[v], parent[v] = t.Left[v], t.Right[v], t.Parent[v]
+			isLeft[v] = parent[v] >= 0 && t.Left[parent[v]] == I(v)
 			f[v] = idMaxPlus()
 			isLeaf[v] = t.IsLeaf(v)
 			if isLeaf[v] {
@@ -170,13 +171,7 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 		s.ParallelFor(len(leaves), func(k int) {
 			x := leaves[k]
 			p := parent[x]
-			if num[x]%2 == 1 && p >= 0 {
-				if wantLeft {
-					cand[k] = left[p] == x
-				} else {
-					cand[k] = right[p] == x
-				}
-			}
+			cand[k] = num[x]%2 == 1 && p >= 0 && isLeft[x] == wantLeft
 		})
 		sel := PackIx[I](s, leaves, cand)
 		pram.Release(s, cand)
@@ -188,25 +183,27 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 		s.ForCost(len(sel), 4, func(k int) {
 			x := sel[k]
 			p := parent[x]
+			xLeft := isLeft[x]
 			var sib I
-			if left[p] == x {
+			if xLeft {
 				sib = right[p]
 			} else {
 				sib = left[p]
 			}
-			recs[k] = rakeRec[I]{x: x, p: p, sib: sib, fx: f[x], fs: f[sib], xLeft: left[p] == x}
+			recs[k] = rakeRec[I]{x: x, p: p, sib: sib, fx: f[x], fs: f[sib], xLeft: xLeft}
 			// Splice p out: sib takes p's place under p's parent.
 			g := parent[p]
 			if g >= 0 {
-				if left[g] == p {
+				if isLeft[p] {
 					left[g] = sib
 				} else {
 					right[g] = sib
 				}
 			}
 			parent[sib] = g
+			isLeft[sib] = isLeft[p]
 			a := f[x].Apply(val[x])
-			f[sib] = f[sib].then(partial(op[p], left[p] == x, a)).then(f[p])
+			f[sib] = f[sib].then(partial(op[p], xLeft, a)).then(f[p])
 		})
 		rounds = append(rounds, recs)
 		pram.Release(s, sel)
@@ -256,6 +253,7 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 	pram.Release(s, left)
 	pram.Release(s, right)
 	pram.Release(s, parent)
+	pram.Release(s, isLeft)
 	pram.Release(s, f)
 	pram.Release(s, num)
 	pram.Release(s, isLeaf)

@@ -11,9 +11,9 @@ import (
 // randomFullBinTree builds a single binary tree with m leaves in which
 // every internal node has exactly two children (2m-1 nodes). Node ids are
 // shuffled so that structure does not correlate with index order.
-func randomFullBinTree(rng *rand.Rand, m int) (t BinTree, leaves []int) {
+func randomFullBinTree(rng *rand.Rand, m int) (t BinTreeIx[int32], leaves []int) {
 	n := 2*m - 1
-	t = NewBinTree(n)
+	t = NewBinTreeIx[int32](n)
 	ids := rng.Perm(n)
 	// Build by repeatedly splitting leaf ranges (random binary structure).
 	type job struct{ node, lo, hi int } // leaves lo..hi under node
@@ -31,23 +31,23 @@ func randomFullBinTree(rng *rand.Rand, m int) (t BinTree, leaves []int) {
 		}
 		cut := j.lo + rng.IntN(j.hi-j.lo)
 		l, r := take(), take()
-		t.Left[j.node], t.Right[j.node] = l, r
-		t.Parent[l], t.Parent[r] = j.node, j.node
+		t.Left[j.node], t.Right[j.node] = int32(l), int32(r)
+		t.Parent[l], t.Parent[r] = int32(j.node), int32(j.node)
 		stack = append(stack, job{l, j.lo, cut}, job{r, cut + 1, j.hi})
 	}
 	return t, leaves
 }
 
-func serialEval(t BinTree, op []NodeOp, leafVal []int64, v int) int64 {
+func serialEval(t BinTreeIx[int32], op []NodeOp, leafVal []int64, v int) int64 {
 	if t.IsLeaf(v) {
 		return leafVal[v]
 	}
-	l := serialEval(t, op, leafVal, t.Left[v])
-	r := serialEval(t, op, leafVal, t.Right[v])
+	l := serialEval(t, op, leafVal, int(t.Left[v]))
+	r := serialEval(t, op, leafVal, int(t.Right[v]))
 	return applyOp(op[v], l, r)
 }
 
-func randomOps(rng *rand.Rand, t BinTree) ([]NodeOp, []int64) {
+func randomOps(rng *rand.Rand, t BinTreeIx[int32]) ([]NodeOp, []int64) {
 	n := t.Len()
 	op := make([]NodeOp, n)
 	leafVal := make([]int64, n)
@@ -69,9 +69,9 @@ func TestEvalTreeMatchesSerial(t *testing.T) {
 		for _, m := range []int{1, 2, 3, 8, 50, 400} {
 			bt, _ := randomFullBinTree(rng, m)
 			op, leafVal := randomOps(rng, bt)
-			tour := TourBinary(s, bt, 77)
+			tour := TourBinaryIx(s, bt, 77)
 			ranks, _ := tour.LeafRanks(s, bt)
-			got := EvalTree(s, bt, op, leafVal, ranks)
+			got := EvalTreeIx(s, bt, op, leafVal, ranks)
 			for v := 0; v < bt.Len(); v++ {
 				want := serialEval(bt, op, leafVal, v)
 				if got[v] != want {
@@ -89,18 +89,18 @@ func TestEvalTreeLeftChainDeep(t *testing.T) {
 	// logarithmic.
 	m := 1024
 	n := 2*m - 1
-	bt := NewBinTree(n)
+	bt := NewBinTreeIx[int32](n)
 	// internal nodes 0..m-2 chained by left pointers; leaves m-1..2m-2.
 	for v := 0; v < m-1; v++ {
 		leaf := m - 1 + v
-		bt.Right[v] = leaf
-		bt.Parent[leaf] = v
+		bt.Right[v] = int32(leaf)
+		bt.Parent[leaf] = int32(v)
 		if v < m-2 {
-			bt.Left[v] = v + 1
-			bt.Parent[v+1] = v
+			bt.Left[v] = int32(v + 1)
+			bt.Parent[v+1] = int32(v)
 		} else {
-			bt.Left[v] = 2*m - 2
-			bt.Parent[2*m-2] = v
+			bt.Left[v] = int32(2*m - 2)
+			bt.Parent[2*m-2] = int32(v)
 		}
 	}
 	op := make([]NodeOp, n)
@@ -116,9 +116,9 @@ func TestEvalTreeLeftChainDeep(t *testing.T) {
 		leafVal[v] = int64(v%4) + 1
 	}
 	s := pram.New(pram.ProcsFor(n), pram.WithGrain(64))
-	tour := TourBinary(s, bt, 13)
+	tour := TourBinaryIx(s, bt, 13)
 	ranks, _ := tour.LeafRanks(s, bt)
-	got := EvalTree(s, bt, op, leafVal, ranks)
+	got := EvalTreeIx(s, bt, op, leafVal, ranks)
 	for _, v := range []int{0, 1, m / 2, m - 2} {
 		want := serialEval(bt, op, leafVal, v)
 		if got[v] != want {
@@ -129,8 +129,8 @@ func TestEvalTreeLeftChainDeep(t *testing.T) {
 
 func TestEvalTreeSingleLeaf(t *testing.T) {
 	s := pram.NewSerial()
-	bt := NewBinTree(1)
-	got := EvalTree(s, bt, make([]NodeOp, 1), []int64{42}, []int{0})
+	bt := NewBinTreeIx[int32](1)
+	got := EvalTreeIx(s, bt, make([]NodeOp, 1), []int64{42}, []int32{0})
 	if got[0] != 42 {
 		t.Fatalf("single leaf value %d want 42", got[0])
 	}
@@ -160,9 +160,9 @@ func TestEvalTreeProperty(t *testing.T) {
 		bt, _ := randomFullBinTree(rng, m)
 		op, leafVal := randomOps(rng, bt)
 		s := pram.New(1+int(procs%10), pram.WithGrain(16))
-		tour := TourBinary(s, bt, seed)
+		tour := TourBinaryIx(s, bt, seed)
 		ranks, _ := tour.LeafRanks(s, bt)
-		got := EvalTree(s, bt, op, leafVal, ranks)
+		got := EvalTreeIx(s, bt, op, leafVal, ranks)
 		for v := 0; v < bt.Len(); v++ {
 			if got[v] != serialEval(bt, op, leafVal, v) {
 				return false
@@ -182,10 +182,10 @@ func TestEvalTreeCostBounds(t *testing.T) {
 	op, leafVal := randomOps(rng, bt)
 	n := bt.Len()
 	s := pram.New(pram.ProcsFor(n), pram.WithGrain(1<<30))
-	tour := TourBinary(s, bt, 3)
+	tour := TourBinaryIx(s, bt, 3)
 	ranks, _ := tour.LeafRanks(s, bt)
 	s.Reset()
-	EvalTree(s, bt, op, leafVal, ranks)
+	EvalTreeIx(s, bt, op, leafVal, ranks)
 	lg := 14
 	if s.Time() > int64(100*lg) {
 		t.Errorf("contraction time %d exceeds 100 log n", s.Time())

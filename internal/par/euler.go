@@ -11,19 +11,13 @@ type BinTreeIx[I Ix] struct {
 	Left, Right, Parent []I
 }
 
-// BinTree is the int-width binary forest, the historical form.
-type BinTree = BinTreeIx[int]
-
 // Len returns the number of nodes.
 func (t BinTreeIx[I]) Len() int { return len(t.Parent) }
 
 // IsLeaf reports whether v has no children.
 func (t BinTreeIx[I]) IsLeaf(v int) bool { return t.Left[v] < 0 && t.Right[v] < 0 }
 
-// NewBinTree allocates an n-node forest with every link empty.
-func NewBinTree(n int) BinTree { return NewBinTreeIx[int](n) }
-
-// NewBinTreeIx is the width-generic NewBinTree.
+// NewBinTreeIx allocates an n-node forest with every link empty.
 func NewBinTreeIx[I Ix](n int) BinTreeIx[I] {
 	t := BinTreeIx[I]{
 		Left:   make([]I, n),
@@ -36,11 +30,8 @@ func NewBinTreeIx[I Ix](n int) BinTreeIx[I] {
 	return t
 }
 
-// GrabBinTree is NewBinTree with the three link slices drawn from the
-// Sim's scratch arena; pair it with ReleaseBinTree.
-func GrabBinTree(s *pram.Sim, n int) BinTree { return GrabBinTreeIx[int](s, n) }
-
-// GrabBinTreeIx is the width-generic GrabBinTree.
+// GrabBinTreeIx is NewBinTreeIx with the three link slices drawn from
+// the Sim's scratch arena; pair it with ReleaseBinTreeIx.
 func GrabBinTreeIx[I Ix](s *pram.Sim, n int) BinTreeIx[I] {
 	t := BinTreeIx[I]{
 		Left:   pram.GrabNoClear[I](s, n),
@@ -53,11 +44,8 @@ func GrabBinTreeIx[I Ix](s *pram.Sim, n int) BinTreeIx[I] {
 	return t
 }
 
-// ReleaseBinTree returns a forest's link slices to the arena.
-func ReleaseBinTree(s *pram.Sim, t BinTree) { ReleaseBinTreeIx(s, t) }
-
-// ReleaseBinTreeIx is the width-generic ReleaseBinTree. It also drops
-// the tree's cached Euler tour, if any, so a cached tour can never
+// ReleaseBinTreeIx returns a forest's link slices to the arena. It also
+// drops the tree's cached Euler tour, if any, so a cached tour can never
 // outlive its tree.
 func ReleaseBinTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I]) {
 	DropCachedTourIx(s, t)
@@ -85,9 +73,6 @@ type TourIx[I Ix] struct {
 	Roots         []I // the roots, in increasing index order
 }
 
-// Tour is the int-width tour, the historical form.
-type Tour = TourIx[int]
-
 // Release returns the tour's slices to the Sim's arena. The tour must
 // not be used afterwards.
 func (tr *TourIx[I]) Release(s *pram.Sim) {
@@ -109,14 +94,9 @@ func inItem[I Ix](v I) I    { return 3*v + 1 }
 func postItem[I Ix](v I) I  { return 3*v + 2 }
 func itemNode[I Ix](it I) I { return it / 3 }
 
-// TourBinary builds the Euler tour of t and the pre/in/post numberings.
-// seed drives the randomized work-optimal list ranking.
-func TourBinary(s *pram.Sim, t BinTree, seed uint64) *Tour {
-	return TourBinaryIx(s, t, seed)
-}
-
-// TourBinaryIx is the width-generic TourBinary (see Ix). Note the tour
-// stores item ids up to 3n, so the narrow width needs 3n to fit.
+// TourBinaryIx builds the Euler tour of t and the pre/in/post
+// numberings. seed drives the randomized work-optimal list ranking. The
+// tour stores item ids up to 3n, so I must hold 3n.
 func TourBinaryIx[I Ix](s *pram.Sim, t BinTreeIx[I], seed uint64) *TourIx[I] {
 	n := t.Len()
 	tr := &TourIx[I]{N: n}
@@ -382,7 +362,7 @@ func replayTourCharges[I Ix](s *pram.Sim, n, nRoots int, next []I, seed uint64, 
 	charge(n, 3)            // successor links
 	charge(nRoots, 1)       // root chaining
 	chargeRankOpt(s, next, seed, consumeNext)
-	charge(L, 1)             // ListPositions position fill
+	charge(L, 1)             // ListPositionsIx position fill
 	charge(L, 1)             // seq scatter
 	for k := 0; k < 3; k++ { // pre/in/post rank flags + scans
 		charge(L, 1)

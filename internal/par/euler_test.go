@@ -10,8 +10,8 @@ import (
 
 // randomBinForest builds a random binary forest: each node may have 0, 1
 // or 2 children.
-func randomBinForest(rng *rand.Rand, n, trees int) BinTree {
-	t := NewBinTree(n)
+func randomBinForest(rng *rand.Rand, n, trees int) BinTreeIx[int32] {
+	t := NewBinTreeIx[int32](n)
 	if n == 0 {
 		return t
 	}
@@ -27,13 +27,13 @@ func randomBinForest(rng *rand.Rand, n, trees int) BinTree {
 		for {
 			p := rng.IntN(v)
 			if t.Left[p] < 0 && (rng.IntN(2) == 0 || t.Right[p] >= 0) {
-				t.Left[p] = v
-				t.Parent[v] = p
+				t.Left[p] = int32(v)
+				t.Parent[v] = int32(p)
 				break
 			}
 			if t.Right[p] < 0 {
-				t.Right[p] = v
-				t.Parent[v] = p
+				t.Right[p] = int32(v)
+				t.Parent[v] = int32(p)
 				break
 			}
 		}
@@ -42,23 +42,23 @@ func randomBinForest(rng *rand.Rand, n, trees int) BinTree {
 }
 
 // serial recursive traversals for verification.
-func serialOrders(t BinTree) (pre, in, post []int) {
+func serialOrders(t BinTreeIx[int32]) (pre, in, post []int32) {
 	n := t.Len()
-	pre = make([]int, n)
-	in = make([]int, n)
-	post = make([]int, n)
-	pc, ic, oc := 0, 0, 0
+	pre = make([]int32, n)
+	in = make([]int32, n)
+	post = make([]int32, n)
+	var pc, ic, oc int32
 	var walk func(v int)
 	walk = func(v int) {
 		pre[v] = pc
 		pc++
 		if t.Left[v] >= 0 {
-			walk(t.Left[v])
+			walk(int(t.Left[v]))
 		}
 		in[v] = ic
 		ic++
 		if t.Right[v] >= 0 {
-			walk(t.Right[v])
+			walk(int(t.Right[v]))
 		}
 		post[v] = oc
 		oc++
@@ -78,7 +78,7 @@ func TestTourBinaryMatchesSerial(t *testing.T) {
 			{1, 1}, {2, 1}, {5, 1}, {17, 3}, {200, 1}, {333, 7},
 		} {
 			bt := randomBinForest(rng, tc.n, tc.trees)
-			tour := TourBinary(s, bt, 55)
+			tour := TourBinaryIx(s, bt, 55)
 			wantPre, wantIn, wantPost := serialOrders(bt)
 			for v := 0; v < tc.n; v++ {
 				if tour.Pre[v] != wantPre[v] || tour.In[v] != wantIn[v] || tour.Post[v] != wantPost[v] {
@@ -86,7 +86,7 @@ func TestTourBinaryMatchesSerial(t *testing.T) {
 						s.Procs(), tc.n, v, tour.Pre[v], tour.In[v], tour.Post[v],
 						wantPre[v], wantIn[v], wantPost[v])
 				}
-				if tour.InSeq[tour.In[v]] != v {
+				if tour.InSeq[tour.In[v]] != int32(v) {
 					t.Fatalf("InSeq inverse broken at %d", v)
 				}
 			}
@@ -97,13 +97,13 @@ func TestTourBinaryMatchesSerial(t *testing.T) {
 func TestTourRootAssignment(t *testing.T) {
 	s := pram.New(4, pram.WithGrain(2))
 	// Two trees: 0->{2,3}, 1->{4}
-	bt := NewBinTree(5)
+	bt := NewBinTreeIx[int32](5)
 	bt.Left[0], bt.Right[0] = 2, 3
 	bt.Parent[2], bt.Parent[3] = 0, 0
 	bt.Left[1] = 4
 	bt.Parent[4] = 1
-	tour := TourBinary(s, bt, 9)
-	want := []int{0, 1, 0, 0, 1}
+	tour := TourBinaryIx(s, bt, 9)
+	want := []int32{0, 1, 0, 0, 1}
 	for v, r := range want {
 		if tour.Root[v] != r {
 			t.Fatalf("Root[%d]=%d want %d", v, tour.Root[v], r)
@@ -121,24 +121,24 @@ func TestDepthsAndSubtreeCounts(t *testing.T) {
 	//     1     2
 	//    / \     \
 	//   3   4     5
-	bt := NewBinTree(6)
+	bt := NewBinTreeIx[int32](6)
 	bt.Left[0], bt.Right[0] = 1, 2
 	bt.Left[1], bt.Right[1] = 3, 4
 	bt.Right[2] = 5
 	bt.Parent[1], bt.Parent[2] = 0, 0
 	bt.Parent[3], bt.Parent[4] = 1, 1
 	bt.Parent[5] = 2
-	tour := TourBinary(s, bt, 1)
+	tour := TourBinaryIx(s, bt, 1)
 	d := tour.Depths(s)
-	wantD := []int{0, 1, 1, 2, 2, 2}
+	wantD := []int32{0, 1, 1, 2, 2, 2}
 	for v := range wantD {
 		if d[v] != wantD[v] {
 			t.Fatalf("depth[%d]=%d want %d", v, d[v], wantD[v])
 		}
 	}
 	size, leaves := tour.SubtreeCounts(s, bt)
-	wantSize := []int{6, 3, 2, 1, 1, 1}
-	wantLeaves := []int{3, 2, 1, 1, 1, 1}
+	wantSize := []int32{6, 3, 2, 1, 1, 1}
+	wantLeaves := []int32{3, 2, 1, 1, 1, 1}
 	for v := range wantSize {
 		if size[v] != wantSize[v] || leaves[v] != wantLeaves[v] {
 			t.Fatalf("node %d: size=%d leaves=%d want %d/%d",
@@ -150,15 +150,15 @@ func TestDepthsAndSubtreeCounts(t *testing.T) {
 func TestAncestorFlagCounts(t *testing.T) {
 	s := pram.New(3, pram.WithGrain(2))
 	// chain 0 -> 1 -> 2 -> 3 (all left children), flags on 0 and 2.
-	bt := NewBinTree(4)
+	bt := NewBinTreeIx[int32](4)
 	for v := 0; v < 3; v++ {
-		bt.Left[v] = v + 1
-		bt.Parent[v+1] = v
+		bt.Left[v] = int32(v + 1)
+		bt.Parent[v+1] = int32(v)
 	}
-	tour := TourBinary(s, bt, 2)
+	tour := TourBinaryIx(s, bt, 2)
 	flags := []bool{true, false, true, false}
 	got := tour.AncestorFlagCounts(s, flags)
-	want := []int{1, 1, 2, 2}
+	want := []int32{1, 1, 2, 2}
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("flagcount[%d]=%d want %d", v, got[v], want[v])
@@ -168,7 +168,7 @@ func TestAncestorFlagCounts(t *testing.T) {
 
 func TestLeafRanks(t *testing.T) {
 	s := pram.New(4, pram.WithGrain(2))
-	bt := NewBinTree(7) // full binary tree, leaves 3,4,5,6
+	bt := NewBinTreeIx[int32](7) // full binary tree, leaves 3,4,5,6
 	bt.Left[0], bt.Right[0] = 1, 2
 	bt.Left[1], bt.Right[1] = 3, 4
 	bt.Left[2], bt.Right[2] = 5, 6
@@ -176,12 +176,12 @@ func TestLeafRanks(t *testing.T) {
 		bt.Parent[v] = 0
 	}
 	bt.Parent[3], bt.Parent[4], bt.Parent[5], bt.Parent[6] = 1, 1, 2, 2
-	tour := TourBinary(s, bt, 3)
+	tour := TourBinaryIx(s, bt, 3)
 	ranks, m := tour.LeafRanks(s, bt)
 	if m != 4 {
 		t.Fatalf("m=%d want 4", m)
 	}
-	want := []int{-1, -1, -1, 0, 1, 2, 3}
+	want := []int32{-1, -1, -1, 0, 1, 2, 3}
 	for v := range want {
 		if ranks[v] != want[v] {
 			t.Fatalf("leafRank[%d]=%d want %d", v, ranks[v], want[v])
@@ -195,7 +195,7 @@ func TestTourProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 21))
 		bt := randomBinForest(rng, n, 1+int(trees%4))
 		s := pram.New(1+int(procs%12), pram.WithGrain(16))
-		tour := TourBinary(s, bt, seed)
+		tour := TourBinaryIx(s, bt, seed)
 		pre, in, post := serialOrders(bt)
 		for v := 0; v < n; v++ {
 			if tour.Pre[v] != pre[v] || tour.In[v] != in[v] || tour.Post[v] != post[v] {
@@ -204,19 +204,19 @@ func TestTourProperty(t *testing.T) {
 		}
 		// Subtree counts must match a serial count.
 		size, leaves := tour.SubtreeCounts(s, bt)
-		var count func(v int) (int, int)
-		count = func(v int) (int, int) {
-			sz, lf := 1, 0
+		var count func(v int) (int32, int32)
+		count = func(v int) (int32, int32) {
+			var sz, lf int32 = 1, 0
 			if bt.IsLeaf(v) {
 				lf = 1
 			}
 			if bt.Left[v] >= 0 {
-				a, b := count(bt.Left[v])
+				a, b := count(int(bt.Left[v]))
 				sz += a
 				lf += b
 			}
 			if bt.Right[v] >= 0 {
-				a, b := count(bt.Right[v])
+				a, b := count(int(bt.Right[v]))
 				sz += a
 				lf += b
 			}
@@ -251,7 +251,7 @@ func TestTourCostBounds(t *testing.T) {
 	measure := func(n int) (int64, int64) {
 		bt := randomBinForest(rng, n, 1)
 		s := pram.New(pram.ProcsFor(n), pram.WithGrain(1<<30))
-		TourBinary(s, bt, 4)
+		TourBinaryIx(s, bt, 4)
 		return s.Time(), s.Work()
 	}
 	t1, w1 := measure(1 << 12)

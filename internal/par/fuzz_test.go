@@ -20,8 +20,8 @@ func FuzzMatchBrackets(f *testing.F) {
 			open[i] = b%2 == 0
 		}
 		s := pram.New(1+int(procs%16), pram.WithGrain(4))
-		got := MatchBrackets(s, open)
-		want := make([]int, len(open))
+		got := MatchBracketsIx[int32](s, open)
+		want := make([]int32, len(open))
 		matchSerial(open, want)
 		for i := range want {
 			if got[i] != want[i] {
@@ -37,13 +37,13 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(2))
 	f.Add([]byte{}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, procs uint8) {
-		in := make([]int, len(data))
+		in := make([]int32, len(data))
 		for i, b := range data {
-			in[i] = int(b) - 128
+			in[i] = int32(b) - 128
 		}
 		s := pram.New(1+int(procs%12), pram.WithGrain(2))
-		out, total := ScanInt(s, in)
-		acc := 0
+		out, total := ScanIx(s, in)
+		acc := int32(0)
 		for i := range in {
 			if out[i] != acc {
 				t.Fatalf("out[%d] = %d, want %d", i, out[i], acc)

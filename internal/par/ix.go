@@ -5,24 +5,21 @@ import "unsafe"
 // Ix constrains the element type of the index-carrying arrays of the
 // primitives: the values stored are vertex ids, node ids, tour
 // positions, ranks and counts — all bounded by a small constant
-// multiple of the input size — so on inputs that fit, a narrower
-// representation halves (int32) or quarters (int16) the bytes every
-// bandwidth-bound phase streams.
+// multiple of the input size — so a narrow representation halves
+// (int32) or quarters (int16) the bytes every bandwidth-bound phase
+// streams compared with a machine word.
 //
-// Width-fallback rule: every primitive exists in a width-generic form
-// (the *Ix functions and types) instantiated at int16 for the serving
-// size class, int32 for narrow inputs and at int (64-bit on 64-bit
-// hosts) otherwise; the legacy un-suffixed names are the int
-// instantiations. Callers that pick a narrow width must guarantee that
-// every value a primitive stores fits — for the path-cover pipeline
-// that is ~10n (tour items of the dummy-augmented forest, bracket
-// positions), so the dispatch in internal/core routes to the next
-// wider kernels well before n approaches the width's maximum and
-// nothing is ever silently truncated. The simulated time/work
-// accounting is width-blind: all instantiations charge identical
-// costs.
+// Width rule: every index-carrying primitive is a width-generic *Ix
+// function or type, instantiated at int16 for the serving size class
+// and at int32 otherwise. Callers must guarantee that every value a
+// primitive stores fits I — for the path-cover pipeline that is ~10n
+// (tour items of the dummy-augmented forest, bracket positions), so
+// internal/core picks the width from n and rejects inputs past the
+// int32 bound; nothing is ever silently truncated. The simulated
+// time/work accounting is width-blind: both instantiations charge
+// identical costs.
 type Ix interface {
-	~int16 | ~int32 | ~int | ~int64
+	~int16 | ~int32
 }
 
 // MinIx returns the minimum value of I, the sentinel of the prefix-max

@@ -2,27 +2,22 @@ package par
 
 import "pathcover/internal/pram"
 
-// Rank performs list ranking by Wyllie pointer jumping. For every element
+// RankIx performs list ranking by Wyllie pointer jumping. For every element
 // i of the linked structure next (next[i] = successor index, or -1 at a
 // terminal), it returns dist[i] — the number of links from i to its
 // terminal — and last[i], the terminal itself. next may describe any
 // number of disjoint lists (or, more generally, in-forests whose edges
 // point toward the roots).
 //
-// Pointer jumping is O(log n) time but O(n log n) work; RankOpt is the
-// work-optimal variant. Rank is retained as the simple reference and as
-// the comparison point for the work-optimality ablation bench.
-func Rank(s *pram.Sim, next []int) (dist, last []int) {
-	return RankWeightedIx[int](s, next, nil)
-}
-
-// RankIx is the width-generic Rank (see Ix). Note dist accumulates link
-// weights: the caller guarantees the totals fit the width.
+// Pointer jumping is O(log n) time but O(n log n) work; RankOptIx is the
+// work-optimal variant. RankIx is retained as the simple reference and as
+// the comparison point for the work-optimality ablation bench. dist
+// accumulates link weights: the caller guarantees the totals fit I.
 func RankIx[I Ix](s *pram.Sim, next []I) (dist, last []I) {
 	return RankWeightedIx(s, next, nil)
 }
 
-// wyllieState keeps the phase bodies and working arrays of RankWeighted
+// wyllieState keeps the phase bodies and working arrays of RankWeightedIx
 // reusable per (Sim, width), so steady-state ranking performs no
 // allocation.
 type wyllieState[I Ix] struct {
@@ -85,13 +80,6 @@ func (st *wyllieState[I]) run(lo, hi int) {
 	}
 }
 
-// RankWeighted is Rank with a weight per link: dist[i] becomes the sum of
-// weights along the path from i to its terminal. A nil weight slice means
-// unit weights.
-func RankWeighted(s *pram.Sim, next []int, weight []int) (dist, last []int) {
-	return RankWeightedIx(s, next, weight)
-}
-
 // wyllieRounds is the number of jumping rounds Wyllie performs on n
 // elements.
 func wyllieRounds(n int) int {
@@ -116,7 +104,9 @@ func chargeWyllie(s *pram.Sim, n int) {
 	}
 }
 
-// RankWeightedIx is the width-generic RankWeighted (see Ix).
+// RankWeightedIx is RankIx with a weight per link: dist[i] becomes the
+// sum of weights along the path from i to its terminal. A nil weight
+// slice means unit weights.
 func RankWeightedIx[I Ix](s *pram.Sim, next []I, weight []I) (dist, last []I) {
 	n := len(next)
 	if n > 0 && s.PreferSequential(n) {
@@ -158,18 +148,13 @@ func RankWeightedIx[I Ix](s *pram.Sim, next []I, weight []I) (dist, last []I) {
 	return dist, last
 }
 
-// RankOpt is randomized work-optimal list ranking: random-mate
+// RankOptIx is randomized work-optimal list ranking: random-mate
 // contraction splices out a constant expected fraction of the elements
 // per round until at most n/log n survive, Wyllie ranks the survivors,
 // and the spliced elements are reinstated in reverse order. Expected work
 // is O(n); time is O(log n) with n/log n processors (w.h.p.).
 //
 // seed makes the coin flips deterministic for a given input.
-func RankOpt(s *pram.Sim, next []int, seed uint64) (dist, last []int) {
-	return RankOptWeightedIx[int](s, next, nil, seed)
-}
-
-// RankOptIx is the width-generic RankOpt (see Ix).
 func RankOptIx[I Ix](s *pram.Sim, next []I, seed uint64) (dist, last []I) {
 	return RankOptWeightedIx(s, next, nil, seed)
 }
@@ -313,12 +298,8 @@ func (st *rankOptState[I]) run(lo, hi int) {
 	}
 }
 
-// RankOptWeighted is RankOpt with link weights (nil means unit weights).
-func RankOptWeighted(s *pram.Sim, next []int, weight []int, seed uint64) (dist, last []int) {
-	return RankOptWeightedIx(s, next, weight, seed)
-}
-
-// RankOptWeightedIx is the width-generic RankOptWeighted (see Ix).
+// RankOptWeightedIx is RankOptIx with link weights (nil means unit
+// weights).
 func RankOptWeightedIx[I Ix](s *pram.Sim, next []I, weight []I, seed uint64) (dist, last []I) {
 	n := len(next)
 	if n == 0 {
@@ -352,9 +333,9 @@ func RankOptWeightedIx[I Ix](s *pram.Sim, next []I, weight []I, seed uint64) (di
 	st.prv = pram.GrabNoClear[I](s, n)
 	st.phase = optPhaseInit
 	s.ParallelForRange(n, st.body)
-	// prv[j] = some predecessor of j. For lists it is unique; RankOpt
+	// prv[j] = some predecessor of j. For lists it is unique; RankOptIx
 	// requires list inputs (each element has at most one predecessor),
-	// unlike Rank which accepts in-forests.
+	// unlike RankIx which accepts in-forests.
 	st.phase = optPhasePrv
 	s.ParallelForRange(n, st.body)
 
@@ -596,15 +577,9 @@ func rankSerial[I Ix](s *pram.Sim, next []I, weight []I) (dist, last []I) {
 	return dist, last
 }
 
-// ListPositions ranks a single list of known head: it returns pos[i],
+// ListPositionsIx ranks a single list of known head: it returns pos[i],
 // the 0-based position of element i from head, and the list length.
 // Elements not on the list get position -1.
-func ListPositions(s *pram.Sim, next []int, head int, seed uint64) (pos []int, length int) {
-	p, l := ListPositionsIx(s, next, head, seed)
-	return p, int(l)
-}
-
-// ListPositionsIx is the width-generic ListPositions (see Ix).
 func ListPositionsIx[I Ix](s *pram.Sim, next []I, head I, seed uint64) (pos []I, length I) {
 	dist, last := RankOptIx(s, next, seed)
 	n := len(next)

@@ -11,10 +11,10 @@ import (
 // buildLists makes a random set of disjoint lists over n elements and
 // returns next plus, for verification, each element's true distance to
 // its terminal and the terminal itself.
-func buildLists(rng *rand.Rand, n int) (next, wantDist, wantLast []int) {
-	next = make([]int, n)
-	wantDist = make([]int, n)
-	wantLast = make([]int, n)
+func buildLists(rng *rand.Rand, n int) (next, wantDist, wantLast []int32) {
+	next = make([]int32, n)
+	wantDist = make([]int32, n)
+	wantLast = make([]int32, n)
 	perm := rng.Perm(n)
 	for i := range next {
 		next[i] = -1
@@ -23,11 +23,11 @@ func buildLists(rng *rand.Rand, n int) (next, wantDist, wantLast []int) {
 	for lo := 0; lo < n; {
 		hi := lo + 1 + rng.IntN(n-lo)
 		for k := lo; k < hi-1; k++ {
-			next[perm[k]] = perm[k+1]
+			next[perm[k]] = int32(perm[k+1])
 		}
 		for k := lo; k < hi; k++ {
-			wantDist[perm[k]] = hi - 1 - k
-			wantLast[perm[k]] = perm[hi-1]
+			wantDist[perm[k]] = int32(hi - 1 - k)
+			wantLast[perm[k]] = int32(perm[hi-1])
 		}
 		lo = hi
 	}
@@ -39,7 +39,7 @@ func TestRankMatchesTruth(t *testing.T) {
 	for _, s := range sims() {
 		for _, n := range []int{1, 2, 3, 17, 256, 3000} {
 			next, wantDist, wantLast := buildLists(rng, n)
-			dist, last := Rank(s, next)
+			dist, last := RankIx(s, next)
 			for i := 0; i < n; i++ {
 				if dist[i] != wantDist[i] || last[i] != wantLast[i] {
 					t.Fatalf("procs=%d n=%d elem %d: got (%d,%d) want (%d,%d)",
@@ -55,7 +55,7 @@ func TestRankOptMatchesTruth(t *testing.T) {
 	for _, s := range sims() {
 		for _, n := range []int{1, 2, 65, 300, 5000} {
 			next, wantDist, wantLast := buildLists(rng, n)
-			dist, last := RankOpt(s, next, 1234)
+			dist, last := RankOptIx(s, next, 1234)
 			for i := 0; i < n; i++ {
 				if dist[i] != wantDist[i] || last[i] != wantLast[i] {
 					t.Fatalf("procs=%d n=%d elem %d: got (%d,%d) want (%d,%d)",
@@ -69,9 +69,9 @@ func TestRankOptMatchesTruth(t *testing.T) {
 func TestRankWeighted(t *testing.T) {
 	s := pram.New(4, pram.WithGrain(2))
 	// 0 ->(5) 1 ->(7) 2
-	next := []int{1, 2, -1}
-	w := []int{5, 7, 0}
-	dist, last := RankWeighted(s, next, w)
+	next := []int32{1, 2, -1}
+	w := []int32{5, 7, 0}
+	dist, last := RankWeightedIx(s, next, w)
 	if dist[0] != 12 || dist[1] != 7 || dist[2] != 0 {
 		t.Fatalf("weighted dist = %v", dist)
 	}
@@ -85,12 +85,12 @@ func TestRankHandlesInForest(t *testing.T) {
 	// everything points at element 0.
 	s := pram.New(8, pram.WithGrain(2))
 	n := 50
-	next := make([]int, n)
+	next := make([]int32, n)
 	next[0] = -1
 	for i := 1; i < n; i++ {
 		next[i] = 0
 	}
-	dist, last := Rank(s, next)
+	dist, last := RankIx(s, next)
 	for i := 1; i < n; i++ {
 		if dist[i] != 1 || last[i] != 0 {
 			t.Fatalf("star elem %d: (%d,%d)", i, dist[i], last[i])
@@ -101,15 +101,15 @@ func TestRankHandlesInForest(t *testing.T) {
 func TestRankOptSingleLongList(t *testing.T) {
 	// Worst case for contraction: one list of n elements.
 	n := 4096
-	next := make([]int, n)
+	next := make([]int32, n)
 	for i := 0; i < n-1; i++ {
-		next[i] = i + 1
+		next[i] = int32(i + 1)
 	}
 	next[n-1] = -1
 	s := pram.New(pram.ProcsFor(n), pram.WithGrain(64))
-	dist, last := RankOpt(s, next, 99)
+	dist, last := RankOptIx(s, next, 99)
 	for i := 0; i < n; i++ {
-		if dist[i] != n-1-i || last[i] != n-1 {
+		if dist[i] != int32(n-1-i) || last[i] != int32(n-1) {
 			t.Fatalf("elem %d: (%d,%d)", i, dist[i], last[i])
 		}
 	}
@@ -120,15 +120,15 @@ func TestRankOptWorkIsLinear(t *testing.T) {
 	// work-per-element must stay flat as n doubles, and beat Wyllie once
 	// log n clears the contraction constant.
 	measure := func(n int) (opt, wyl int64) {
-		next := make([]int, n)
+		next := make([]int32, n)
 		for i := 0; i < n-1; i++ {
-			next[i] = i + 1
+			next[i] = int32(i + 1)
 		}
 		next[n-1] = -1
 		sOpt := pram.New(pram.ProcsFor(n), pram.WithGrain(1<<30))
-		RankOpt(sOpt, next, 5)
+		RankOptIx(sOpt, next, 5)
 		sWyl := pram.New(pram.ProcsFor(n), pram.WithGrain(1<<30))
-		Rank(sWyl, next)
+		RankIx(sWyl, next)
 		return sOpt.Work(), sWyl.Work()
 	}
 	o1, _ := measure(1 << 15)
@@ -149,20 +149,20 @@ func TestRankOptWorkIsLinear(t *testing.T) {
 func TestListPositions(t *testing.T) {
 	for _, s := range sims() {
 		n := 100
-		next := make([]int, n)
+		next := make([]int32, n)
 		// list: 0 -> 2 -> 4 -> ... -> 98; odds isolated
 		for i := 0; i < n; i++ {
 			next[i] = -1
 		}
 		for i := 0; i+2 < n; i += 2 {
-			next[i] = i + 2
+			next[i] = int32(i + 2)
 		}
-		pos, length := ListPositions(s, next, 0, 77)
+		pos, length := ListPositionsIx(s, next, 0, 77)
 		if length != 50 {
 			t.Fatalf("length=%d want 50", length)
 		}
 		for i := 0; i < n; i += 2 {
-			if pos[i] != i/2 {
+			if pos[i] != int32(i/2) {
 				t.Fatalf("pos[%d]=%d want %d", i, pos[i], i/2)
 			}
 		}
@@ -180,8 +180,8 @@ func TestRankProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 11))
 		next, wantDist, wantLast := buildLists(rng, n)
 		s := pram.New(1+int(procs%16), pram.WithGrain(16))
-		d1, l1 := Rank(s, next)
-		d2, l2 := RankOpt(s, next, seed)
+		d1, l1 := RankIx(s, next)
+		d2, l2 := RankOptIx(s, next, seed)
 		for i := 0; i < n; i++ {
 			if d1[i] != wantDist[i] || l1[i] != wantLast[i] {
 				return false

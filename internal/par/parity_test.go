@@ -7,11 +7,11 @@ import (
 	"pathcover/internal/pram"
 )
 
-// The routing-parity suite: the fused sequential bodies and the narrow
-// (int32) kernels are pure execution-route choices — for any input and
-// any simulated processor count they must produce the same values AND
-// the same simulated time/work/phase counters as the phase-structured
-// int route. These tests pin that down exactly; the pipeline-level
+// The routing-parity suite: the fused sequential bodies and the int16
+// kernels are pure execution-route choices — for any input and any
+// simulated processor count they must produce the same values AND the
+// same simulated time/work/phase counters as the phase-structured int32
+// route. These tests pin that down exactly; the pipeline-level
 // bit-parity of the pcbench tables rests on it.
 
 // fusedSim always prefers the fused sequential bodies; refSim never
@@ -32,7 +32,7 @@ func statsEq(t *testing.T, what string, n, procs int, a, b pram.Stats) {
 	}
 }
 
-func intsEq(t *testing.T, what string, got, want []int) {
+func intsEq[I Ix](t *testing.T, what string, got, want []I) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d want %d", what, len(got), len(want))
@@ -51,57 +51,57 @@ func TestFusedChargeParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 7))
 	for _, n := range []int{1, 2, 3, 7, 64, 65, 1000, 4096, 5000} {
 		for _, procs := range []int{2, 7, pram.ProcsFor(max(n, 2)), n + 3} {
-			in := make([]int, n)
+			in := make([]int32, n)
 			keep := make([]bool, n)
-			next := make([]int, n)
-			lens := make([]int, n/7+1)
+			next := make([]int32, n)
+			lens := make([]int32, n/7+1)
 			perm := rng.Perm(n)
 			for i := range in {
-				in[i] = rng.IntN(50)
+				in[i] = int32(rng.IntN(50))
 				keep[i] = rng.IntN(3) == 0
 				if i < n-1 {
-					next[perm[i]] = perm[i+1]
+					next[perm[i]] = int32(perm[i+1])
 				}
 			}
 			if n > 0 {
 				next[perm[n-1]] = -1
 			}
 			for i := range lens {
-				lens[i] = rng.IntN(5)
+				lens[i] = int32(rng.IntN(5))
 			}
 
 			fu, re := fusedSim(procs), refSim(procs)
 			defer fu.Close()
 			defer re.Close()
 
-			fo, ft := ScanInt(fu, in)
-			ro, rt := ScanInt(re, in)
+			fo, ft := ScanIx(fu, in)
+			ro, rt := ScanIx(re, in)
 			if ft != rt {
-				t.Fatalf("ScanInt total: %d != %d", ft, rt)
+				t.Fatalf("ScanIx total: %d != %d", ft, rt)
 			}
-			intsEq(t, "ScanInt", fo, ro)
-			statsEq(t, "ScanInt", n, procs, fu.Stats(), re.Stats())
+			intsEq(t, "ScanIx", fo, ro)
+			statsEq(t, "ScanIx", n, procs, fu.Stats(), re.Stats())
 
-			intsEq(t, "MaxScanInt", MaxScanInt(fu, in), MaxScanInt(re, in))
-			statsEq(t, "MaxScanInt", n, procs, fu.Stats(), re.Stats())
+			intsEq(t, "MaxScanIx", MaxScanIx(fu, in), MaxScanIx(re, in))
+			statsEq(t, "MaxScanIx", n, procs, fu.Stats(), re.Stats())
 
-			intsEq(t, "InclusiveScanInt", InclusiveScanInt(fu, in), InclusiveScanInt(re, in))
-			statsEq(t, "InclusiveScanInt", n, procs, fu.Stats(), re.Stats())
+			intsEq(t, "InclusiveScanIx", InclusiveScanIx(fu, in), InclusiveScanIx(re, in))
+			statsEq(t, "InclusiveScanIx", n, procs, fu.Stats(), re.Stats())
 
-			intsEq(t, "IndexPack", IndexPack(fu, keep), IndexPack(re, keep))
-			statsEq(t, "IndexPack", n, procs, fu.Stats(), re.Stats())
+			intsEq(t, "IndexPackIx", IndexPackIx[int32](fu, keep), IndexPackIx[int32](re, keep))
+			statsEq(t, "IndexPackIx", n, procs, fu.Stats(), re.Stats())
 
-			fow, fof, _ := Distribute(fu, lens)
-			row, rof, _ := Distribute(re, lens)
-			intsEq(t, "Distribute owner", fow, row)
-			intsEq(t, "Distribute offset", fof, rof)
-			statsEq(t, "Distribute", n, procs, fu.Stats(), re.Stats())
+			fow, fof, _ := DistributeIx(fu, lens)
+			row, rof, _ := DistributeIx(re, lens)
+			intsEq(t, "DistributeIx owner", fow, row)
+			intsEq(t, "DistributeIx offset", fof, rof)
+			statsEq(t, "DistributeIx", n, procs, fu.Stats(), re.Stats())
 
-			fd, fl := Rank(fu, next)
-			rd, rl := Rank(re, next)
-			intsEq(t, "Rank dist", fd, rd)
-			intsEq(t, "Rank last", fl, rl)
-			statsEq(t, "Rank", n, procs, fu.Stats(), re.Stats())
+			fd, fl := RankIx(fu, next)
+			rd, rl := RankIx(re, next)
+			intsEq(t, "RankIx dist", fd, rd)
+			intsEq(t, "RankIx last", fl, rl)
+			statsEq(t, "RankIx", n, procs, fu.Stats(), re.Stats())
 		}
 	}
 }
@@ -115,7 +115,7 @@ func TestFusedChargeParityDataDependent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 12))
 	for _, n := range []int{65, 66, 100, 257, 1000, 4097} {
 		for _, procs := range []int{2, 7, pram.ProcsFor(n), n + 3} {
-			next := make([]int, n)
+			next := make([]int32, n)
 			open := make([]bool, n)
 			perm := rng.Perm(n)
 			// A handful of disjoint lists.
@@ -123,7 +123,7 @@ func TestFusedChargeParityDataDependent(t *testing.T) {
 				if rng.IntN(50) == 0 {
 					next[perm[i]] = -1
 				} else {
-					next[perm[i]] = perm[i+1]
+					next[perm[i]] = int32(perm[i+1])
 				}
 			}
 			next[perm[n-1]] = -1
@@ -136,17 +136,17 @@ func TestFusedChargeParityDataDependent(t *testing.T) {
 			defer fu.Close()
 			defer re.Close()
 
-			fd, fl := RankOpt(fu, next, 99)
-			rd, rl := RankOpt(re, next, 99)
-			intsEq(t, "RankOpt dist", fd, rd)
-			intsEq(t, "RankOpt last", fl, rl)
-			statsEq(t, "RankOpt", n, procs, fu.Stats(), re.Stats())
+			fd, fl := RankOptIx(fu, next, 99)
+			rd, rl := RankOptIx(re, next, 99)
+			intsEq(t, "RankOptIx dist", fd, rd)
+			intsEq(t, "RankOptIx last", fl, rl)
+			statsEq(t, "RankOptIx", n, procs, fu.Stats(), re.Stats())
 
-			intsEq(t, "MatchBrackets", MatchBrackets(fu, open), MatchBrackets(re, open))
-			statsEq(t, "MatchBrackets", n, procs, fu.Stats(), re.Stats())
+			intsEq(t, "MatchBracketsIx", MatchBracketsIx[int32](fu, open), MatchBracketsIx[int32](re, open))
+			statsEq(t, "MatchBracketsIx", n, procs, fu.Stats(), re.Stats())
 
-			ft := TourBinary(fu, forest, 7)
-			rt := TourBinary(re, forest, 7)
+			ft := TourBinaryIx(fu, forest, 7)
+			rt := TourBinaryIx(re, forest, 7)
 			intsEq(t, "Tour Pos", ft.Pos, rt.Pos)
 			intsEq(t, "Tour Seq", ft.Seq, rt.Seq)
 			intsEq(t, "Tour Pre", ft.Pre, rt.Pre)
@@ -197,10 +197,10 @@ func TestFusedChargeParityEvalTree(t *testing.T) {
 			tree, op, leafVal := randomExprTree(rng, leavesN)
 			fu, re := fusedSim(procs), refSim(procs)
 			run := func(s *pram.Sim) ([]int64, pram.Stats) {
-				tour := TourBinary(s, tree, 3)
+				tour := TourBinaryIx(s, tree, 3)
 				ranks, _ := tour.LeafRanks(s, tree)
 				s.Reset() // isolate the contraction's own charges
-				vals := EvalTree(s, tree, op, leafVal, ranks)
+				vals := EvalTreeIx(s, tree, op, leafVal, ranks)
 				st := s.Stats()
 				tour.Release(s)
 				return vals, st
@@ -221,27 +221,27 @@ func TestFusedChargeParityEvalTree(t *testing.T) {
 
 // randomForest attaches each node to a random earlier node with a free
 // child slot, or leaves it a root.
-func randomForest(rng *rand.Rand, n int) BinTree {
-	t := NewBinTree(n)
+func randomForest(rng *rand.Rand, n int) BinTreeIx[int32] {
+	t := NewBinTreeIx[int32](n)
 	for v := 1; v < n; v++ {
 		p := rng.IntN(v)
 		if t.Left[p] < 0 {
-			t.Left[p] = v
+			t.Left[p] = int32(v)
 		} else if t.Right[p] < 0 {
-			t.Right[p] = v
+			t.Right[p] = int32(v)
 		} else {
 			continue
 		}
-		t.Parent[v] = p
+		t.Parent[v] = int32(p)
 	}
 	return t
 }
 
 // randomExprTree builds a random full binary tree with m leaves plus
 // random sum / join-clamp operators and unit-ish leaf values.
-func randomExprTree(rng *rand.Rand, m int) (BinTree, []NodeOp, []int64) {
+func randomExprTree(rng *rand.Rand, m int) (BinTreeIx[int32], []NodeOp, []int64) {
 	n := 2*m - 1
-	t := NewBinTree(n)
+	t := NewBinTreeIx[int32](n)
 	op := make([]NodeOp, n)
 	leafVal := make([]int64, n)
 	// Grow by splitting a random current leaf into an internal node with
@@ -253,8 +253,8 @@ func randomExprTree(rng *rand.Rand, m int) (BinTree, []NodeOp, []int64) {
 		v := leaves[k]
 		l, r := next, next+1
 		next += 2
-		t.Left[v], t.Right[v] = l, r
-		t.Parent[l], t.Parent[r] = v, v
+		t.Left[v], t.Right[v] = int32(l), int32(r)
+		t.Parent[l], t.Parent[r] = int32(v), int32(v)
 		leaves[k] = l
 		leaves = append(leaves, r)
 	}
@@ -270,194 +270,153 @@ func randomExprTree(rng *rand.Rand, m int) (BinTree, []NodeOp, []int64) {
 	return t, op, leafVal
 }
 
-// TestNarrowWideParity runs the int32 kernels against the int kernels:
-// identical values (after widening) and identical simulated counters.
-func TestNarrowWideParity(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	for _, n := range []int{0, 1, 5, 513, 4096, 9000} {
-		in32 := make([]int32, n)
-		in := make([]int, n)
-		open := make([]bool, n)
-		next32 := make([]int32, n)
-		next := make([]int, n)
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			v := rng.IntN(100)
-			in32[i], in[i] = int32(v), v
-			open[i] = rng.IntN(2) == 0
-			if i < n-1 {
-				next[perm[i]] = perm[i+1]
-				next32[perm[i]] = int32(perm[i+1])
-			}
+// widthInputs draws the shared inputs of the int16-vs-int32 parity
+// tests: small values (totals ≤ 9n, inside math.MaxInt16 for every n the
+// int16 route serves), bracket flags, and one list threaded through a
+// random permutation whose head is returned.
+func widthInputs(rng *rand.Rand, n int) (in16 []int16, in32 []int32, open []bool, next16 []int16, next32 []int32, head int) {
+	in16, in32 = make([]int16, n), make([]int32, n)
+	open = make([]bool, n)
+	next16, next32 = make([]int16, n), make([]int32, n)
+	perm := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		v := rng.IntN(9)
+		in16[i], in32[i] = int16(v), int32(v)
+		open[i] = rng.IntN(2) == 0
+		if i < n-1 {
+			next16[perm[i]], next32[perm[i]] = int16(perm[i+1]), int32(perm[i+1])
 		}
-		if n > 0 {
-			next[perm[n-1]], next32[perm[n-1]] = -1, -1
-		}
-		procs := pram.ProcsFor(max(n, 2))
-		sw := pram.New(procs, pram.WithWorkers(2), pram.WithGrain(128))
-		sn := pram.New(procs, pram.WithWorkers(2), pram.WithGrain(128))
-		defer sw.Close()
-		defer sn.Close()
+	}
+	if n > 0 {
+		next16[perm[n-1]], next32[perm[n-1]] = -1, -1
+		head = perm[0]
+	}
+	return in16, in32, open, next16, next32, head
+}
 
-		check := func(what string, wide []int, narrow []int32) {
-			t.Helper()
-			if len(wide) != len(narrow) {
-				t.Fatalf("%s n=%d: %d vs %d elements", what, n, len(wide), len(narrow))
-			}
-			for i := range wide {
-				if wide[i] != int(narrow[i]) {
-					t.Fatalf("%s n=%d: [%d] = %d (wide) vs %d (narrow)", what, n, i, wide[i], narrow[i])
-				}
-			}
-			ws, ns := sw.Stats(), sn.Stats()
-			if ws.Time != ns.Time || ws.Work != ns.Work || ws.Phases != ns.Phases {
-				t.Fatalf("%s n=%d: wide stats %+v != narrow stats %+v", what, n, ws, ns)
-			}
-		}
+// widthSims returns an int16 Sim and an int32 Sim of identical shape.
+func widthSims(n int) (s16, s32 *pram.Sim) {
+	procs := pram.ProcsFor(max(n, 2))
+	return pram.New(procs, pram.WithWorkers(2), pram.WithGrain(128)),
+		pram.New(procs, pram.WithWorkers(2), pram.WithGrain(128))
+}
 
-		wo, wt := ScanIx(sw, in)
-		no, nt := ScanIx(sn, in32)
-		if int(nt) != wt {
-			t.Fatalf("ScanIx total: %d vs %d", wt, nt)
+// widthEq asserts that an int16 result equals the int32 one element by
+// element and that the two Sims carry identical simulated counters.
+func widthEq(t *testing.T, what string, n int, s16, s32 *pram.Sim, narrow []int16, wide []int32) {
+	t.Helper()
+	if len(narrow) != len(wide) {
+		t.Fatalf("%s n=%d: %d vs %d elements", what, n, len(narrow), len(wide))
+	}
+	for i := range wide {
+		if int32(narrow[i]) != wide[i] {
+			t.Fatalf("%s n=%d: [%d] = %d (int16) vs %d (int32)", what, n, i, narrow[i], wide[i])
 		}
-		check("ScanIx", wo, no)
-		check("MaxScanIx", MaxScanIx(sw, in), MaxScanIx(sn, in32))
-		check("IndexPackIx", IndexPackIx[int](sw, open), IndexPackIx[int32](sn, open))
-		check("MatchBracketsIx", MatchBracketsIx[int](sw, open), MatchBracketsIx[int32](sn, open))
-		wd, wl := RankOptIx(sw, next, 42)
-		nd, nl := RankOptIx(sn, next32, 42)
-		check("RankOptIx dist", wd, nd)
-		ws, ns := sw.Stats(), sn.Stats()
-		_ = ws
-		_ = ns
-		for i := range wl {
-			if wl[i] != int(nl[i]) {
-				t.Fatalf("RankOptIx last: [%d] = %d vs %d", i, wl[i], nl[i])
-			}
-		}
+	}
+	a, b := s16.Stats(), s32.Stats()
+	if a.Time != b.Time || a.Work != b.Work || a.Phases != b.Phases {
+		t.Fatalf("%s n=%d: int16 stats %+v != int32 stats %+v", what, n, a, b)
 	}
 }
 
-// TestInt16WideParity runs the int16 kernels against the int kernels:
-// identical values (after widening) and identical simulated counters.
-// Sizes and values stay inside the int16 envelope the serving dispatch
-// guarantees (n ≤ core.MaxInt16Vertices, scan totals under
-// math.MaxInt16) — the kernels never see anything bigger on the int16
-// route.
+// TestNarrowWideParity runs the int16 scan, compaction, bracket-matching
+// and work-optimal list-ranking kernels against the int32 ones:
+// identical values and identical simulated counters. Sizes stay inside
+// the int16 envelope the pipeline dispatch guarantees
+// (n ≤ core.MaxInt16Vertices).
+func TestNarrowWideParity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for _, n := range []int{0, 1, 5, 513, 3000} {
+		in16, in32, open, next16, next32, _ := widthInputs(rng, n)
+		s16, s32 := widthSims(n)
+		defer s16.Close()
+		defer s32.Close()
+
+		no, nt := ScanIx(s16, in16)
+		wo, wt := ScanIx(s32, in32)
+		if int32(nt) != wt {
+			t.Fatalf("ScanIx total: %d vs %d", nt, wt)
+		}
+		widthEq(t, "ScanIx", n, s16, s32, no, wo)
+		widthEq(t, "MaxScanIx", n, s16, s32, MaxScanIx(s16, in16), MaxScanIx(s32, in32))
+		widthEq(t, "IndexPackIx", n, s16, s32, IndexPackIx[int16](s16, open), IndexPackIx[int32](s32, open))
+		widthEq(t, "MatchBracketsIx", n, s16, s32, MatchBracketsIx[int16](s16, open), MatchBracketsIx[int32](s32, open))
+		nd, nl := RankOptIx(s16, next16, 42)
+		wd, wl := RankOptIx(s32, next32, 42)
+		widthEq(t, "RankOptIx dist", n, s16, s32, nd, wd)
+		widthEq(t, "RankOptIx last", n, s16, s32, nl, wl)
+	}
+}
+
+// TestInt16WideParity covers the remaining index kernels — inclusive
+// scan, segment distribution, Wyllie ranking and single-list positions —
+// at int16 against int32, with the same envelope and assertions as
+// TestNarrowWideParity.
 func TestInt16WideParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 4))
 	for _, n := range []int{0, 1, 5, 513, 3000} {
-		in16 := make([]int16, n)
-		in := make([]int, n)
-		open := make([]bool, n)
-		next16 := make([]int16, n)
-		next := make([]int, n)
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			v := rng.IntN(9) // totals ≤ 9n < math.MaxInt16 for every n here
-			in16[i], in[i] = int16(v), v
-			open[i] = rng.IntN(2) == 0
-			if i < n-1 {
-				next[perm[i]] = perm[i+1]
-				next16[perm[i]] = int16(perm[i+1])
-			}
-		}
-		if n > 0 {
-			next[perm[n-1]], next16[perm[n-1]] = -1, -1
-		}
-		procs := pram.ProcsFor(max(n, 2))
-		sw := pram.New(procs, pram.WithWorkers(2), pram.WithGrain(128))
-		sn := pram.New(procs, pram.WithWorkers(2), pram.WithGrain(128))
-		defer sw.Close()
-		defer sn.Close()
+		in16, in32, _, next16, next32, head := widthInputs(rng, n)
+		s16, s32 := widthSims(n)
+		defer s16.Close()
+		defer s32.Close()
 
-		check := func(what string, wide []int, narrow []int16) {
-			t.Helper()
-			if len(wide) != len(narrow) {
-				t.Fatalf("%s n=%d: %d vs %d elements", what, n, len(wide), len(narrow))
-			}
-			for i := range wide {
-				if wide[i] != int(narrow[i]) {
-					t.Fatalf("%s n=%d: [%d] = %d (wide) vs %d (int16)", what, n, i, wide[i], narrow[i])
-				}
-			}
-			ws, ns := sw.Stats(), sn.Stats()
-			if ws.Time != ns.Time || ws.Work != ns.Work || ws.Phases != ns.Phases {
-				t.Fatalf("%s n=%d: wide stats %+v != int16 stats %+v", what, n, ws, ns)
-			}
+		widthEq(t, "InclusiveScanIx", n, s16, s32, InclusiveScanIx(s16, in16), InclusiveScanIx(s32, in32))
+		no, nf, nt := DistributeIx(s16, in16)
+		wo, wf, wt := DistributeIx(s32, in32)
+		if nt != wt {
+			t.Fatalf("DistributeIx total: %d vs %d", nt, wt)
 		}
-
-		wo, wt := ScanIx(sw, in)
-		no, nt := ScanIx(sn, in16)
-		if int(nt) != wt {
-			t.Fatalf("ScanIx total: %d vs %d", wt, nt)
+		widthEq(t, "DistributeIx owner", n, s16, s32, no, wo)
+		widthEq(t, "DistributeIx offset", n, s16, s32, nf, wf)
+		nd, nl := RankIx(s16, next16)
+		wd, wl := RankIx(s32, next32)
+		widthEq(t, "RankIx dist", n, s16, s32, nd, wd)
+		widthEq(t, "RankIx last", n, s16, s32, nl, wl)
+		if n == 0 {
+			continue
 		}
-		check("ScanIx", wo, no)
-		check("MaxScanIx", MaxScanIx(sw, in), MaxScanIx(sn, in16))
-		check("IndexPackIx", IndexPackIx[int](sw, open), IndexPackIx[int16](sn, open))
-		check("MatchBracketsIx", MatchBracketsIx[int](sw, open), MatchBracketsIx[int16](sn, open))
-		wd, wl := RankOptIx(sw, next, 42)
-		nd, nl := RankOptIx(sn, next16, 42)
-		check("RankOptIx dist", wd, nd)
-		for i := range wl {
-			if wl[i] != int(nl[i]) {
-				t.Fatalf("RankOptIx last: [%d] = %d vs %d", i, wl[i], nl[i])
-			}
+		np, nlen := ListPositionsIx(s16, next16, int16(head), 42)
+		wp, wlen := ListPositionsIx(s32, next32, int32(head), 42)
+		if int32(nlen) != wlen {
+			t.Fatalf("ListPositionsIx length: %d vs %d", nlen, wlen)
 		}
+		widthEq(t, "ListPositionsIx", n, s16, s32, np, wp)
 	}
 }
 
 // TestTourNarrowWideParity compares the full Euler-tour numberings of a
-// random forest across widths.
+// random forest at int16 and int32.
 func TestTourNarrowWideParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.IntN(600)
 		// Random binary forest: attach each node to an earlier node with a
 		// free child slot (or leave it a root).
-		wide := NewBinTree(n)
-		narrow := NewBinTreeIx[int32](n)
+		wide := NewBinTreeIx[int32](n)
 		tiny := NewBinTreeIx[int16](n)
 		for v := 1; v < n; v++ {
 			p := rng.IntN(v)
 			if wide.Left[p] < 0 {
-				wide.Left[p], narrow.Left[p], tiny.Left[p] = v, int32(v), int16(v)
+				wide.Left[p], tiny.Left[p] = int32(v), int16(v)
 			} else if wide.Right[p] < 0 {
-				wide.Right[p], narrow.Right[p], tiny.Right[p] = v, int32(v), int16(v)
+				wide.Right[p], tiny.Right[p] = int32(v), int16(v)
 			} else {
 				continue // stays a root
 			}
-			wide.Parent[v], narrow.Parent[v], tiny.Parent[v] = p, int32(p), int16(p)
+			wide.Parent[v], tiny.Parent[v] = int32(p), int16(p)
 		}
-		sw := pram.New(pram.ProcsFor(n), pram.WithWorkers(2), pram.WithGrain(64))
-		sn := pram.New(pram.ProcsFor(n), pram.WithWorkers(2), pram.WithGrain(64))
-		sh := pram.New(pram.ProcsFor(n), pram.WithWorkers(2), pram.WithGrain(64))
-		tw := TourBinary(sw, wide, 99)
-		tn := TourBinaryIx(sn, narrow, 99)
+		sh, sw := widthSims(n)
 		th := TourBinaryIx(sh, tiny, 99)
-		for v := 0; v < n; v++ {
-			if tw.Pre[v] != int(tn.Pre[v]) || tw.In[v] != int(tn.In[v]) ||
-				tw.Post[v] != int(tn.Post[v]) || tw.Root[v] != int(tn.Root[v]) {
-				t.Fatalf("trial %d node %d: wide (%d,%d,%d,%d) narrow (%d,%d,%d,%d)",
-					trial, v, tw.Pre[v], tw.In[v], tw.Post[v], tw.Root[v],
-					tn.Pre[v], tn.In[v], tn.Post[v], tn.Root[v])
-			}
-			if tw.Pre[v] != int(th.Pre[v]) || tw.In[v] != int(th.In[v]) ||
-				tw.Post[v] != int(th.Post[v]) || tw.Root[v] != int(th.Root[v]) {
-				t.Fatalf("trial %d node %d: wide (%d,%d,%d,%d) int16 (%d,%d,%d,%d)",
-					trial, v, tw.Pre[v], tw.In[v], tw.Post[v], tw.Root[v],
-					th.Pre[v], th.In[v], th.Post[v], th.Root[v])
-			}
-		}
-		ws, ns, hs := sw.Stats(), sn.Stats(), sh.Stats()
-		if ws.Time != ns.Time || ws.Work != ns.Work || ws.Phases != ns.Phases {
-			t.Fatalf("trial %d: wide stats %+v != narrow stats %+v", trial, ws, ns)
-		}
-		if ws.Time != hs.Time || ws.Work != hs.Work || ws.Phases != hs.Phases {
-			t.Fatalf("trial %d: wide stats %+v != int16 stats %+v", trial, ws, hs)
-		}
+		tw := TourBinaryIx(sw, wide, 99)
+		widthEq(t, "Tour Pos", n, sh, sw, th.Pos, tw.Pos)
+		widthEq(t, "Tour Seq", n, sh, sw, th.Seq, tw.Seq)
+		widthEq(t, "Tour Pre", n, sh, sw, th.Pre, tw.Pre)
+		widthEq(t, "Tour In", n, sh, sw, th.In, tw.In)
+		widthEq(t, "Tour Post", n, sh, sw, th.Post, tw.Post)
+		widthEq(t, "Tour InSeq", n, sh, sw, th.InSeq, tw.InSeq)
+		widthEq(t, "Tour Root", n, sh, sw, th.Root, tw.Root)
+		widthEq(t, "Tour Roots", n, sh, sw, th.Roots, tw.Roots)
 		sw.Close()
-		sn.Close()
 		sh.Close()
 	}
 }

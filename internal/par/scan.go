@@ -11,19 +11,17 @@
 // work-optimal variant), and the counters of the Sim make those bounds
 // measurable.
 //
-// The index-carrying primitives are generic over the element width (the
-// Ix constraint): the *Ix forms run on int32 for inputs whose derived
-// values fit, halving the bytes moved per phase, and on int otherwise.
-// The un-suffixed names (ScanInt, IndexPack, Rank, MatchBrackets, ...)
-// are the int instantiations and keep their original signatures. See Ix
-// for the width-fallback rule; the simulated cost accounting is
-// identical in both widths.
+// The index-carrying primitives (the *Ix forms) are generic over the
+// element width (the Ix constraint): int16 for the serving size class
+// and int32 otherwise, so every phase moves a quarter or half of the
+// bytes a machine word would. See Ix for the width rule; the simulated
+// cost accounting is identical in both widths.
 //
 // Buffers come from the Sim's scratch arena (pram.Grab): a primitive
 // releases its internal temporaries before returning and hands its
 // results to the caller, who may pass them back to pram.Release once
 // consumed. The hot-path primitives (the scans, compaction, the list
-// rankers, MatchBrackets) additionally keep their phase bodies in
+// rankers, MatchBracketsIx) additionally keep their phase bodies in
 // reusable per-Sim state, so in steady state they allocate nothing.
 // Below the Sim's sequential cutover (pram.Sim.PreferSequential) the
 // data-independent primitives run a fused single-pass body on the
@@ -159,43 +157,25 @@ func Reduce[T any](s *pram.Sim, in []T, id T, op func(a, b T) T) T {
 	return total
 }
 
-// ScanInt is Scan specialised to integer sums. In steady state it
+// ScanIx is Scan specialised to integer sums. In steady state it
 // allocates nothing: the phase bodies live in per-Sim state and every
 // buffer but the returned one is recycled through the arena.
-func ScanInt(s *pram.Sim, in []int) (out []int, total int) {
-	return ixScanRun(s, in, intOpSum, false)
-}
-
-// InclusiveScanInt computes the inclusive prefix sum of in. Like
-// ScanInt it is allocation-free in steady state; the simulated cost is
-// identical to InclusiveScan over ints.
-func InclusiveScanInt(s *pram.Sim, in []int) []int {
-	out, _ := ixScanRun(s, in, intOpSum, true)
-	return out
-}
-
-// MaxScanInt computes the inclusive prefix maximum of in. It is the
-// standard "segmented broadcast" building block: scatter values at
-// segment heads, then a prefix max carries each head's value across its
-// segment.
-func MaxScanInt(s *pram.Sim, in []int) []int {
-	out, _ := ixScanRun(s, in, intOpMax, true)
-	return out
-}
-
-// ScanIx, InclusiveScanIx and MaxScanIx are the width-generic forms of
-// the specialised integer scans (see Ix).
 func ScanIx[I Ix](s *pram.Sim, in []I) (out []I, total I) {
 	return ixScanRun(s, in, intOpSum, false)
 }
 
-// InclusiveScanIx computes the inclusive prefix sum of in.
+// InclusiveScanIx computes the inclusive prefix sum of in. Like ScanIx
+// it is allocation-free in steady state; the simulated cost is
+// identical to InclusiveScan over the same elements.
 func InclusiveScanIx[I Ix](s *pram.Sim, in []I) []I {
 	out, _ := ixScanRun(s, in, intOpSum, true)
 	return out
 }
 
-// MaxScanIx computes the inclusive prefix maximum of in.
+// MaxScanIx computes the inclusive prefix maximum of in. It is the
+// standard "segmented broadcast" building block: scatter values at
+// segment heads, then a prefix max carries each head's value across its
+// segment.
 func MaxScanIx[I Ix](s *pram.Sim, in []I) []I {
 	out, _ := ixScanRun(s, in, intOpMax, true)
 	return out

@@ -21,12 +21,12 @@ func TestScanIntMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for _, s := range sims() {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000, 4097} {
-			in := make([]int, n)
+			in := make([]int32, n)
 			for i := range in {
-				in[i] = rng.IntN(100) - 50
+				in[i] = int32(rng.IntN(100) - 50)
 			}
-			got, total := ScanInt(s, in)
-			acc := 0
+			got, total := ScanIx(s, in)
+			acc := int32(0)
 			for i := 0; i < n; i++ {
 				if got[i] != acc {
 					t.Fatalf("procs=%d n=%d: out[%d]=%d want %d", s.Procs(), n, i, got[i], acc)
@@ -54,9 +54,9 @@ func TestInclusiveScan(t *testing.T) {
 
 func TestMaxScanInt(t *testing.T) {
 	s := pram.New(3, pram.WithGrain(2))
-	in := []int{2, 1, 5, 3, 5, 7, 0}
-	got := MaxScanInt(s, in)
-	want := []int{2, 2, 5, 5, 5, 7, 7}
+	in := []int32{2, 1, 5, 3, 5, 7, 0}
+	got := MaxScanIx(s, in)
+	want := []int32{2, 2, 5, 5, 5, 7, 7}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("maxscan[%d]=%d want %d", i, got[i], want[i])
@@ -115,8 +115,8 @@ func TestScanCostBounds(t *testing.T) {
 	// With p = n/log n processors a scan must cost O(log n) time.
 	n := 1 << 16
 	s := pram.New(pram.ProcsFor(n), pram.WithGrain(1<<20))
-	in := make([]int, n)
-	ScanInt(s, in)
+	in := make([]int32, n)
+	ScanIx(s, in)
 	lg := 16
 	if s.Time() > int64(12*lg) {
 		t.Errorf("scan time %d exceeds 12*log n = %d", s.Time(), 12*lg)
@@ -130,7 +130,7 @@ func TestPackAndIndexPack(t *testing.T) {
 	for _, s := range sims() {
 		in := []int{10, 11, 12, 13, 14, 15}
 		keep := []bool{true, false, true, true, false, true}
-		got := Pack(s, in, keep)
+		got := PackIx[int32](s, in, keep)
 		want := []int{10, 12, 13, 15}
 		if len(got) != len(want) {
 			t.Fatalf("procs=%d: Pack len %d want %d", s.Procs(), len(got), len(want))
@@ -140,8 +140,8 @@ func TestPackAndIndexPack(t *testing.T) {
 				t.Fatalf("procs=%d: Pack[%d]=%d want %d", s.Procs(), i, got[i], want[i])
 			}
 		}
-		idx := IndexPack(s, keep)
-		wantIdx := []int{0, 2, 3, 5}
+		idx := IndexPackIx[int32](s, keep)
+		wantIdx := []int32{0, 2, 3, 5}
 		for i := range wantIdx {
 			if idx[i] != wantIdx[i] {
 				t.Fatalf("IndexPack[%d]=%d want %d", i, idx[i], wantIdx[i])
@@ -152,23 +152,23 @@ func TestPackAndIndexPack(t *testing.T) {
 
 func TestPackEmpty(t *testing.T) {
 	s := pram.NewSerial()
-	if got := Pack(s, []int{}, []bool{}); len(got) != 0 {
+	if got := PackIx[int32](s, []int{}, []bool{}); len(got) != 0 {
 		t.Fatal("Pack of empty not empty")
 	}
-	if got := Pack(s, []int{1, 2}, []bool{false, false}); len(got) != 0 {
+	if got := PackIx[int32](s, []int{1, 2}, []bool{false, false}); len(got) != 0 {
 		t.Fatal("Pack of all-false not empty")
 	}
 }
 
 func TestDistribute(t *testing.T) {
 	for _, s := range sims() {
-		lengths := []int{3, 0, 2, 1, 0, 4}
-		owner, offset, total := Distribute(s, lengths)
+		lengths := []int32{3, 0, 2, 1, 0, 4}
+		owner, offset, total := DistributeIx(s, lengths)
 		if total != 10 {
 			t.Fatalf("total=%d want 10", total)
 		}
-		wantOwner := []int{0, 0, 0, 2, 2, 3, 5, 5, 5, 5}
-		wantOff := []int{0, 1, 2, 0, 1, 0, 0, 1, 2, 3}
+		wantOwner := []int32{0, 0, 0, 2, 2, 3, 5, 5, 5, 5}
+		wantOff := []int32{0, 1, 2, 0, 1, 0, 0, 1, 2, 3}
 		for i := 0; i < total; i++ {
 			if owner[i] != wantOwner[i] || offset[i] != wantOff[i] {
 				t.Fatalf("procs=%d item %d: owner=%d off=%d want %d/%d",
@@ -182,23 +182,23 @@ func TestDistributeProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		n := int(nRaw%40) + 1
-		lens := make([]int, n)
+		lens := make([]int32, n)
 		for i := range lens {
-			lens[i] = rng.IntN(5)
+			lens[i] = int32(rng.IntN(5))
 		}
 		s := pram.New(1+int(seed%7), pram.WithGrain(2))
-		owner, offset, total := Distribute(s, lens)
+		owner, offset, total := DistributeIx(s, lens)
 		sum := 0
 		for _, l := range lens {
-			sum += l
+			sum += int(l)
 		}
 		if total != sum {
 			return false
 		}
 		t := 0
 		for g, l := range lens {
-			for k := 0; k < l; k++ {
-				if owner[t] != g || offset[t] != k {
+			for k := int32(0); k < l; k++ {
+				if owner[t] != int32(g) || offset[t] != k {
 					return false
 				}
 				t++

@@ -13,7 +13,7 @@ import (
 // produce AND advance the simulated counters exactly as that build
 // would. The reference Sim performs the from-scratch builds.
 
-func toursEq(t *testing.T, what string, got, want *TourIx[int]) {
+func toursEq(t *testing.T, what string, got, want *TourIx[int32]) {
 	t.Helper()
 	intsEq(t, what+" Pos", got.Pos, want.Pos)
 	intsEq(t, what+" Seq", got.Seq, want.Seq)
@@ -45,7 +45,7 @@ func TestTourCacheReuse(t *testing.T) {
 			if owned {
 				t.Fatalf("n=%d trial %d: expected a cache-served tour", n, trial)
 			}
-			want := TourBinary(ref, forest, seed)
+			want := TourBinaryIx(ref, forest, seed)
 			toursEq(t, "cached", tour, want)
 			a, b := cs.Stats(), ref.Stats()
 			if a.Time != b.Time || a.Work != b.Work || a.Phases != b.Phases {
@@ -71,23 +71,23 @@ func TestTourCachePatchSwap(t *testing.T) {
 			t.Fatal("expected the build to be cached")
 		}
 		{
-			w := TourBinary(ref, forest, 5)
+			w := TourBinaryIx(ref, forest, 5)
 			w.Release(ref)
 		}
 
 		// A few swaps of non-root, non-ancestor-related nodes: swapping two
 		// leaves-of-distinct-subtrees positions is always structure-safe.
 		for sw := 0; sw < 5; sw++ {
-			x, y := -1, -1
+			x, y := int32(-1), int32(-1)
 			for tries := 0; tries < 200; tries++ {
 				a, b := rng.IntN(n), rng.IntN(n)
 				if a == b || forest.Parent[a] < 0 || forest.Parent[b] < 0 {
 					continue
 				}
-				if !forest.IsLeaf(a) || !forest.IsLeaf(b) || forest.Parent[a] == b || forest.Parent[b] == a {
+				if !forest.IsLeaf(a) || !forest.IsLeaf(b) || forest.Parent[a] == int32(b) || forest.Parent[b] == int32(a) {
 					continue
 				}
-				x, y = a, b
+				x, y = int32(a), int32(b)
 				break
 			}
 			if x < 0 {
@@ -101,7 +101,7 @@ func TestTourCachePatchSwap(t *testing.T) {
 		if owned {
 			t.Fatal("expected a cache-served tour after patching")
 		}
-		want := TourBinary(ref, forest, 12)
+		want := TourBinaryIx(ref, forest, 12)
 		toursEq(t, "patched", tour, want)
 		a, b := cs.Stats(), ref.Stats()
 		if a.Time != b.Time || a.Work != b.Work || a.Phases != b.Phases {
@@ -116,7 +116,7 @@ func TestTourCachePatchSwap(t *testing.T) {
 // swapTreePositions is the test-local mirror of the pipeline's
 // swapPositions: exchange the tree positions of x and y, subtrees
 // carried along.
-func swapTreePositions(t BinTree, x, y int) {
+func swapTreePositions(t BinTreeIx[int32], x, y int32) {
 	px, py := t.Parent[x], t.Parent[y]
 	xLeft := px >= 0 && t.Left[px] == x
 	yLeft := py >= 0 && t.Left[py] == y
@@ -150,7 +150,7 @@ func TestTourCacheTouch(t *testing.T) {
 		t.Fatal("expected the build to be cached")
 	}
 	{
-		w := TourBinary(ref, forest, 1)
+		w := TourBinaryIx(ref, forest, 1)
 		w.Release(ref)
 	}
 	for v := 0; v < n; v++ {
@@ -163,7 +163,7 @@ func TestTourCacheTouch(t *testing.T) {
 	if owned {
 		t.Fatal("expected a cache-served tour after touch")
 	}
-	want := TourBinary(ref, forest, 2)
+	want := TourBinaryIx(ref, forest, 2)
 	toursEq(t, "touched", tour, want)
 	a, b := cs.Stats(), ref.Stats()
 	if a.Time != b.Time || a.Work != b.Work || a.Phases != b.Phases {
@@ -182,17 +182,17 @@ func TestTourCacheDropOnRelease(t *testing.T) {
 	defer s.Close()
 	s.Scratch().SetDebug(true)
 
-	forest := GrabBinTree(s, n)
+	forest := GrabBinTreeIx[int32](s, n)
 	for v := 1; v < n; v++ {
 		p := rng.IntN(v)
 		if forest.Left[p] < 0 {
-			forest.Left[p] = v
+			forest.Left[p] = int32(v)
 		} else if forest.Right[p] < 0 {
-			forest.Right[p] = v
+			forest.Right[p] = int32(v)
 		} else {
 			continue
 		}
-		forest.Parent[v] = p
+		forest.Parent[v] = int32(p)
 	}
 	if _, owned := AcquireTourIx(s, forest, 3); owned {
 		t.Fatal("expected the build to be cached")
@@ -201,15 +201,15 @@ func TestTourCacheDropOnRelease(t *testing.T) {
 
 	// A new tree likely reuses the released buffers; the cache must treat
 	// it as unseen.
-	other := GrabBinTree(s, n)
+	other := GrabBinTreeIx[int32](s, n)
 	for v := 1; v < n; v++ { // a left spine: different structure, same size
-		other.Left[v-1] = v
-		other.Parent[v] = v - 1
+		other.Left[v-1] = int32(v)
+		other.Parent[v] = int32(v - 1)
 	}
 	tour, owned := AcquireTourIx(s, other, 3)
 	ref := pram.New(pram.ProcsFor(n), pram.WithWorkers(2), pram.WithGrain(64))
 	defer ref.Close()
-	want := TourBinary(ref, other, 3)
+	want := TourBinaryIx(ref, other, 3)
 	toursEq(t, "recycled", tour, want)
 	if owned {
 		tour.Release(s)

@@ -52,7 +52,7 @@ func Minimum(t *cotree.Tree, paths [][]int) error {
 	s := pram.NewSerial()
 	b := t.Binarize(s)
 	L := b.MakeLeftist(s, 1)
-	want := baseline.PathCounts(b, L)[b.Root]
+	want := int(baseline.PathCounts(b, L)[b.Root])
 	if len(paths) != want {
 		return fmt.Errorf("verify: cover has %d paths, minimum is %d", len(paths), want)
 	}

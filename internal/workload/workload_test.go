@@ -68,7 +68,7 @@ func TestFamilies(t *testing.T) {
 		}
 		b := tr.Binarize(s)
 		L := b.MakeLeftist(s, 1)
-		if got := baseline.PathCounts(b, L)[b.Root]; got != wantPaths {
+		if got := int(baseline.PathCounts(b, L)[b.Root]); got != wantPaths {
 			t.Errorf("%s: min cover %d, want %d", name, got, wantPaths)
 		}
 	}

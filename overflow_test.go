@@ -3,73 +3,41 @@ package pathcover
 import (
 	"errors"
 	"testing"
-
-	"pathcover/internal/core"
-	"pathcover/internal/workload"
 )
 
-// The overflow guard: sizes no representation can hold are rejected with
-// a typed error (FromEdges) or a typed panic (the generators), never
-// silently truncated in the narrow index paths.
+// The overflow guard: sizes the pipeline's index kernels cannot hold are
+// rejected with a typed error (ParseCotree, FromEdges) or a typed panic
+// (the generators), never silently truncated.
 
 func TestFromEdgesSizeGuard(t *testing.T) {
-	over := MaxVertices // runtime increment: wraps (negative) on 32-bit hosts,
-	over++              // exceeds MaxVertices on 64-bit ones; invalid either way
-	for _, n := range []int{-1, over} {
-		_, err := FromEdges(n, nil, nil)
+	over := MaxVertices // runtime increment: past the pipeline's int32 bound
+	over++
+	cases := []struct {
+		name   string
+		build  func() error
+		n, max int
+	}{
+		{"FromEdges(-1)", func() error { _, err := FromEdges(-1, nil, nil); return err }, -1, MaxVertices},
+		{"FromEdges(MaxVertices+1)", func() error { _, err := FromEdges(over, nil, nil); return err }, over, MaxVertices},
+		// A cotree past MaxVertices cannot be materialised in a test, so
+		// the guard runs against a small bound through the same code.
+		{"ParseCotree past the bound", func() error { _, err := parseCotree("(1 a (0 b c))", 2); return err }, 3, 2},
+	}
+	for _, c := range cases {
+		err := c.build()
 		var se *SizeError
 		if !errors.As(err, &se) {
-			t.Fatalf("FromEdges(%d) error = %v, want *SizeError", n, err)
+			t.Fatalf("%s error = %v, want *SizeError", c.name, err)
 		}
-		if se.N != n || se.Max != MaxVertices {
-			t.Fatalf("FromEdges(%d) SizeError = %+v", n, se)
+		if se.N != c.n || se.Max != c.max {
+			t.Fatalf("%s SizeError = %+v", c.name, se)
 		}
 	}
 	if _, err := FromEdges(3, [][2]int{{0, 1}}, nil); err != nil {
 		t.Fatalf("FromEdges(3) unexpectedly failed: %v", err)
 	}
-}
-
-// TestIndexWidthForceReject drives the public width options through a
-// Solver: every forced width an input fits must produce the cover the
-// default produces, and a forced narrow width the input does not fit
-// must surface the typed *WidthError (public alias of core's) rather
-// than truncate. RouteWidth must agree with the dispatch.
-func TestIndexWidthForceReject(t *testing.T) {
-	g := Random(77, 600, workload.Mixed)
-	ref, err := g.MinimumPathCover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []IndexWidth{Width16, Width32, Width64, WidthAuto} {
-		cov, err := g.MinimumPathCover(WithIndexWidth(w))
-		if err != nil {
-			t.Fatalf("width %v: %v", w, err)
-		}
-		if cov.NumPaths != ref.NumPaths {
-			t.Fatalf("width %v: %d paths, want %d", w, cov.NumPaths, ref.NumPaths)
-		}
-	}
-
-	big := Random(78, core.MaxInt16Vertices+1, workload.Mixed)
-	var we *WidthError
-	if _, err := big.MinimumPathCover(WithIndexWidth(Width16)); !errors.As(err, &we) {
-		t.Fatalf("forced Width16 past the bound: err = %v, want *WidthError", err)
-	} else if we.N != core.MaxInt16Vertices+1 || we.Max != core.MaxInt16Vertices {
-		t.Fatalf("WidthError = %+v", we)
-	}
-	if _, err := big.MinimumPathCover(WithIndexWidth(Width32)); err != nil {
-		t.Fatalf("forced Width32 on an int32-sized input: %v", err)
-	}
-
-	if got := RouteWidth(core.MaxInt16Vertices); got != "int16" {
-		t.Fatalf("RouteWidth(int16 bound) = %q", got)
-	}
-	if got := RouteWidth(core.MaxInt16Vertices + 1); got != "int32" {
-		t.Fatalf("RouteWidth(past int16 bound) = %q", got)
-	}
-	if got := RouteWidth(core.MaxNarrowVertices + 1); got != "int" {
-		t.Fatalf("RouteWidth(past int32 bound) = %q", got)
+	if _, err := ParseCotree("(1 a (0 b c))"); err != nil {
+		t.Fatalf("ParseCotree of a 3-vertex cotree unexpectedly failed: %v", err)
 	}
 }
 

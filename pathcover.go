@@ -34,7 +34,6 @@ package pathcover
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -51,13 +50,10 @@ import (
 	"pathcover/internal/verify"
 )
 
-// MaxVertices is the largest vertex count FromEdges and the generators
-// accept. Beyond it the adjacency machinery of recognition could no
-// longer index safely (and on 32-bit hosts int itself could not hold
-// derived ids). The cover pipeline needs no such guard: past the
-// narrow-index bound it falls back to wide kernels automatically instead
-// of truncating.
-const MaxVertices = math.MaxInt32
+// MaxVertices is the largest vertex count ParseCotree, FromEdges and the
+// generators accept: the bound of the parallel pipeline's int32 index
+// kernels, whose cells hold values up to about 10n.
+const MaxVertices = core.MaxNarrowVertices
 
 // SizeError is the typed error returned (or carried by the panic of a
 // generator) when a requested graph size is negative or exceeds
@@ -118,11 +114,18 @@ type Graph struct {
 //	label := "0" (union) | "1" (join)
 //
 // e.g. "(1 (0 a b) c)" is the join of the edgeless graph {a,b} with c
-// (the path a-c-b).
-func ParseCotree(src string) (*Graph, error) {
+// (the path a-c-b). A cotree with more than MaxVertices leaves is
+// rejected with a *SizeError.
+func ParseCotree(src string) (*Graph, error) { return parseCotree(src, MaxVertices) }
+
+// parseCotree is ParseCotree with the vertex bound as a parameter.
+func parseCotree(src string, max int) (*Graph, error) {
 	t, err := cotree.Parse(src)
 	if err != nil {
 		return nil, err
+	}
+	if n := t.NumVertices(); n > max {
+		return nil, &SizeError{N: n, Max: max}
 	}
 	return &Graph{t: t}, nil
 }
@@ -312,7 +315,7 @@ func (g *Graph) MinPathCoverSize() int {
 	s := pram.NewSerial()
 	b := g.t.Binarize(s)
 	L := b.MakeLeftist(s, 1)
-	return baseline.PathCounts(b, L)[b.Root]
+	return int(baseline.PathCounts(b, L)[b.Root])
 }
 
 // sharedPool is the process-wide Pool behind the package-level Graph
@@ -609,7 +612,6 @@ type config struct {
 	procs     int
 	workers   int
 	seed      uint64
-	idxWidth  IndexWidth
 	cpuset    []int
 
 	// Routing and robustness (see backend.go).
@@ -641,52 +643,11 @@ func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 // ranking (results are deterministic for a fixed seed).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// IndexWidth selects the element width of the parallel pipeline's
-// index arrays; see WithIndexWidth.
-type IndexWidth = core.IndexWidth
-
-const (
-	// WidthAuto picks the narrowest kernels the input fits: int16 up to
-	// core.MaxInt16Vertices, int32 up to core.MaxNarrowVertices, int
-	// beyond (the default).
-	WidthAuto = core.WidthAuto
-	// Width16 forces the int16 kernels; inputs past the int16 bound are
-	// rejected with a *WidthError rather than truncated.
-	Width16 = core.WidthNarrow16
-	// Width32 forces the int32 kernels, with the same reject semantics.
-	Width32 = core.WidthNarrow
-	// Width64 forces the full-width int kernels (never rejects).
-	Width64 = core.WidthWide
-)
-
-// MaxInt16Vertices is the largest vertex count the int16 kernel tier —
-// Width16, and the first WidthAuto tier — can hold: the 10n bound of
-// the dummy-augmented pipeline keeps every intermediate value (Euler
-// tour positions, weighted ranks) inside int16 up to exactly this n.
-const MaxInt16Vertices = core.MaxInt16Vertices
-
-// WidthError is the typed error returned when a forced narrow index
-// width (Width16, Width32) cannot hold the input; it carries the vertex
-// count, the width's bound and the width that rejected.
-type WidthError = core.WidthError
-
-// WithIndexWidth selects the index-array width of the parallel
-// pipeline. The default, WidthAuto, streams the fewest bytes the input
-// permits; forcing a width exists for diagnostics and differential
-// testing, and a forced narrow width returns a *WidthError when the
-// input exceeds its bound. The paths and the simulated cost counters
-// are identical across all widths.
-func WithIndexWidth(w IndexWidth) Option { return func(c *config) { c.idxWidth = w } }
-
-// WithWideIndices forces the parallel pipeline onto full-width (int)
-// index arrays: shorthand for WithIndexWidth(Width64), kept for
-// compatibility.
-func WithWideIndices() Option { return WithIndexWidth(Width64) }
-
-// RouteWidth reports the kernel width ("int16", "int32" or "int") the
-// default WidthAuto dispatch routes an n-vertex request to — the
-// serving tier of the request, as surfaced in pcbench routing counts.
-func RouteWidth(n int) string { return core.AutoWidth(n).String() }
+// RouteWidth reports the index width ("int16" or "int32") the parallel
+// pipeline runs an n-vertex request on — the serving tier of the
+// request, as surfaced in pcbench routing counts and the daemon's
+// metrics and request log.
+func RouteWidth(n int) string { return core.RouteWidth(n) }
 
 // withCPUSet pins the Solver's pram workers to the given CPUs (Linux;
 // no-op elsewhere). Unexported: reached through Pool's

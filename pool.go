@@ -175,7 +175,7 @@ func WithQueueDepth(d int) PoolOption {
 }
 
 // WithShardOptions passes Solver options (WithSeed, WithProcessors,
-// WithWideIndices, ...) to every shard. A WithWorkers among them
+// WithAlgorithm, ...) to every shard. A WithWorkers among them
 // overrides the pool's own shard-aware worker sizing — set it only when
 // deliberately over- or under-subscribing the host.
 func WithShardOptions(opts ...Option) PoolOption {
@@ -722,7 +722,11 @@ func (p *Pool) batchSegments(gs []*Graph) [][]int {
 	}
 	key := func(i int) [3]int {
 		n := gs[i].N()
-		return [3]int{int(core.AutoWidth(n)), bits.Len(uint(n)), first[gs[i]]}
+		tier := 0 // int32 requests sort before int16 ones
+		if n <= core.MaxInt16Vertices {
+			tier = 1
+		}
+		return [3]int{tier, bits.Len(uint(n)), first[gs[i]]}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ka, kb := key(order[a]), key(order[b])

@@ -127,12 +127,12 @@ func TestPoolCacheKeyedOnOptions(t *testing.T) {
 	if st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("option-distinct calls should all miss: %+v", st)
 	}
-	// And the width knob must NOT split the key: identical results.
-	if _, err := p.MinimumPathCover(context.Background(), g, WithWideIndices()); err != nil {
+	// And an execution-only knob must NOT split the key: identical results.
+	if _, err := p.MinimumPathCover(context.Background(), g, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats().Cache; st.Hits != 1 {
-		t.Fatalf("wide-index call should hit the narrow entry: %+v", st)
+		t.Fatalf("a different worker count should hit the existing entry: %+v", st)
 	}
 }
 

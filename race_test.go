@@ -121,3 +121,38 @@ func TestMixedFleetRace(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestSolverWorkersParityRace runs the pooled pipeline — a Solver with
+// four real workers — at serving sizes on every random shape, under
+// -race in CI at both sequential-cutover extremes. Step 6's concurrent
+// exchanges and the tree contraction's concurrent rakes share link
+// arrays, so a phase body that reads a link another body writes shows
+// up here. The covers must also match a one-worker Solver's, simulated
+// counters included.
+func TestSolverWorkersParityRace(t *testing.T) {
+	pooled := NewSolver(WithWorkers(4))
+	defer pooled.Close()
+	serial := NewSolver(WithWorkers(1))
+	defer serial.Close()
+	for _, shape := range []Shape{Mixed, Balanced, Caterpillar} {
+		for _, n := range []int{300, 2000, 20000} {
+			g := Random(7, n, shape)
+			want, err := serial.MinimumPathCover(g)
+			if err != nil {
+				t.Fatalf("shape %v n=%d serial: %v", shape, n, err)
+			}
+			wantPaths, wantStats := want.NumPaths, want.Stats
+			got, err := pooled.MinimumPathCover(g)
+			if err != nil {
+				t.Fatalf("shape %v n=%d pooled: %v", shape, n, err)
+			}
+			if err := g.Verify(got.Paths); err != nil {
+				t.Fatalf("shape %v n=%d: %v", shape, n, err)
+			}
+			if got.NumPaths != wantPaths || got.Stats != wantStats {
+				t.Fatalf("shape %v n=%d: pooled %d paths %+v, serial %d paths %+v",
+					shape, n, got.NumPaths, got.Stats, wantPaths, wantStats)
+			}
+		}
+	}
+}

@@ -166,7 +166,7 @@ func (sv *Solver) coverCfg(g *Graph, cfg config) (*Cover, error) {
 		return exactCograph(&Cover{Paths: paths, NumPaths: len(paths), Stats: statsOf(s)}), nil
 	default:
 		s := sv.prepare(g.N(), cfg)
-		cov, err := core.ParallelCover(s, g.t, core.Options{Seed: cfg.seed, Width: cfg.width(), Check: check})
+		cov, err := core.ParallelCover(s, g.t, core.Options{Seed: cfg.seed, Check: check})
 		if err != nil {
 			return nil, err
 		}
@@ -176,11 +176,6 @@ func (sv *Solver) coverCfg(g *Graph, cfg config) (*Cover, error) {
 		return c, nil
 	}
 }
-
-// width maps the public index-width switch onto the core option (the
-// public IndexWidth is an alias of core's, so this is the identity; it
-// survives as the single point the mapping would change at).
-func (c config) width() core.IndexWidth { return c.idxWidth }
 
 // HamiltonianPath returns a Hamiltonian path of g computed by the
 // parallel pipeline, ok=false when none exists, or an error if the
@@ -196,7 +191,7 @@ func (sv *Solver) hamiltonianPathCfg(g *Graph, cfg config) ([]int, bool, error) 
 		return nil, false, ErrNotCograph
 	}
 	s := sv.prepare(g.N(), cfg)
-	p, ok, err := core.ParallelHamiltonianPath(s, g.t, core.Options{Seed: cfg.seed, Width: cfg.width(), Check: cfg.checkFn()})
+	p, ok, err := core.ParallelHamiltonianPath(s, g.t, core.Options{Seed: cfg.seed, Check: cfg.checkFn()})
 	if err != nil {
 		return nil, false, fmt.Errorf("pathcover: parallel Hamiltonian path: %w", err)
 	}
@@ -217,7 +212,7 @@ func (sv *Solver) hamiltonianCycleCfg(g *Graph, cfg config) ([]int, bool, error)
 		return nil, false, ErrNotCograph
 	}
 	s := sv.prepare(g.N(), cfg)
-	c, ok, err := core.ParallelHamiltonianCycle(s, g.t, core.Options{Seed: cfg.seed, Width: cfg.width(), Check: cfg.checkFn()})
+	c, ok, err := core.ParallelHamiltonianCycle(s, g.t, core.Options{Seed: cfg.seed, Check: cfg.checkFn()})
 	if err != nil {
 		return nil, false, fmt.Errorf("pathcover: parallel Hamiltonian cycle: %w", err)
 	}
