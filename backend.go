@@ -78,6 +78,10 @@ var (
 	// ErrNotForest is returned when a request pins BackendTree but the
 	// graph has a cycle.
 	ErrNotForest = errors.New("pathcover: graph is not a forest")
+	// ErrTooManyEdges is returned when a request pins BackendTree or
+	// BackendApprox on a cotree-built graph whose edge set is too large
+	// to materialise.
+	ErrTooManyEdges = errors.New("pathcover: too many edges to materialise for a backend override")
 )
 
 // WithBackend pins the solve route instead of automatic selection. A
@@ -284,44 +288,41 @@ func (g *Graph) IsForest() bool {
 // forest iff every 1-node joins exactly two parts, one a single vertex
 // and the other edgeless (three mutually-joined parts or two parts of
 // two or more vertices each create a triangle or C4, and an edge inside
-// a joined part creates a triangle with the other side).
+// a joined part creates a triangle with the other side). Labels
+// alternate, so an edgeless part is a leaf or a 0-node over leaves, and
+// the test is local to each 1-node: no walk, any depth.
 func cotreeIsForest(t *cotree.Tree) bool {
-	var walk func(u int) (edgeless bool, forest bool)
-	walk = func(u int) (bool, bool) {
-		if t.Label[u] == cotree.LabelLeaf {
-			return true, true
+	edgeless := func(u int) bool {
+		switch t.Label[u] {
+		case cotree.LabelLeaf:
+			return true
+		case cotree.Label1:
+			return false
 		}
-		if t.Label[u] == cotree.Label0 {
-			edgeless, forest := true, true
-			for _, c := range t.Children[u] {
-				e, f := walk(c)
-				edgeless = edgeless && e
-				forest = forest && f
+		for _, c := range t.Children[u] {
+			if t.Label[c] != cotree.LabelLeaf {
+				return false
 			}
-			return edgeless, forest
 		}
-		// 1-node: a join is a forest only as center + edgeless leaves.
-		if len(t.Children[u]) != 2 {
-			return false, false
+		return true
+	}
+	for u, l := range t.Label {
+		if l != cotree.Label1 {
+			continue
 		}
-		a, b := t.Children[u][0], t.Children[u][1]
-		aLeaf := t.Label[a] == cotree.LabelLeaf
-		bLeaf := t.Label[b] == cotree.LabelLeaf
-		switch {
-		case aLeaf && bLeaf:
-			return false, true // a single edge
-		case aLeaf:
-			e, _ := walk(b)
-			return false, e
-		case bLeaf:
-			e, _ := walk(a)
-			return false, e
-		default:
-			return false, false
+		ch := t.Children[u]
+		if len(ch) != 2 {
+			return false
+		}
+		a, b := ch[0], ch[1]
+		if t.Label[b] == cotree.LabelLeaf {
+			a, b = b, a
+		}
+		if t.Label[a] != cotree.LabelLeaf || !edgeless(b) {
+			return false
 		}
 	}
-	_, forest := walk(t.Root)
-	return forest
+	return true
 }
 
 // maxMaterializeEdges caps the edge-set materialization a pinned
@@ -338,37 +339,44 @@ func (g *Graph) rawGraph() (*backend.Graph, error) {
 	if g.raw != nil {
 		return g.raw, nil
 	}
-	if m := g.NumEdges(); m > maxMaterializeEdges {
-		return nil, fmt.Errorf("pathcover: refusing to materialise %d edges for a backend override (max %d)",
-			m, maxMaterializeEdges)
+	m := g.NumEdges()
+	if m > maxMaterializeEdges {
+		return nil, fmt.Errorf("%w: %d edges (max %d)", ErrTooManyEdges, m, maxMaterializeEdges)
 	}
-	return backend.New(g.N(), cotreeEdges(g.t)), nil
+	return backend.New(g.N(), cotreeEdges(g.t, m)), nil
 }
 
-// cotreeEdges materialises a cotree's edge set: at every 1-node, all
-// pairs across its children's leaf sets. O(n + m).
-func cotreeEdges(t *cotree.Tree) [][2]int {
-	var edges [][2]int
-	var walk func(u int) []int
-	walk = func(u int) []int {
+// cotreeEdges materialises a cotree's m edges: at every 1-node, all
+// pairs across its children's leaf sets. In post-order the leaves of
+// every subtree form one contiguous run, so each node only records
+// where its run starts. O(n + m), no recursion.
+func cotreeEdges(t *cotree.Tree, m int) [][2]int {
+	edges := make([][2]int, 0, m)
+	leaves := make([]int, 0, t.NumVertices()) // vertices in post-order
+	first := make([]int, t.NumNodes())        // per node: start of its run
+	for _, u := range t.PostOrder() {
 		if t.Label[u] == cotree.LabelLeaf {
-			return []int{t.VertexOf[u]}
+			first[u] = len(leaves)
+			leaves = append(leaves, t.VertexOf[u])
+			continue
 		}
-		var all []int
-		for _, c := range t.Children[u] {
-			leaves := walk(c)
-			if t.Label[u] == cotree.Label1 {
-				for _, a := range all {
-					for _, b := range leaves {
-						edges = append(edges, [2]int{a, b})
-					}
+		ch := t.Children[u]
+		first[u] = first[ch[0]]
+		if t.Label[u] != cotree.Label1 {
+			continue
+		}
+		for j := 1; j < len(ch); j++ {
+			end := len(leaves)
+			if j+1 < len(ch) {
+				end = first[ch[j+1]]
+			}
+			for _, a := range leaves[first[u]:first[ch[j]]] {
+				for _, b := range leaves[first[ch[j]]:end] {
+					edges = append(edges, [2]int{a, b})
 				}
 			}
-			all = append(all, leaves...)
 		}
-		return all
 	}
-	walk(t.Root)
 	return edges
 }
 

@@ -22,8 +22,10 @@
 package canon
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -102,115 +104,132 @@ const (
 	iv1Lo    = 0xe7037ed1a0b428db
 )
 
-// Canonicalize computes the canonical form of t. The input is not
-// modified. O(n log n) time, O(n) memory, no recursion.
-func Canonicalize(t *cotree.Tree) *Form {
-	nn := t.NumNodes()
-	nv := t.NumVertices()
-	post := postOrder(t)
-
-	// Per-node subtree digests and leaf counts, bottom-up.
-	hi := make([]uint64, nn)
-	lo := make([]uint64, nn)
-	leaves := make([]int32, nn)
-	// kids holds every node's children re-sorted by subtree digest, all
-	// segments in one backing array (kids[off[u]:off[u+1]] is node u's).
-	off := make([]int32, nn+1)
-	for u := 0; u < nn; u++ {
-		off[u+1] = off[u] + int32(len(t.Children[u]))
+// Parse reads a cotree from the text format and computes its canonical
+// form in the same scan: the fold below runs at each node's close
+// inside cotree.ParseFold, so a parsed graph's identity costs no second
+// pass over the tree. An input with more than maxVertices leaves is
+// rejected with a *cotree.SizeError before the tree is allocated. The
+// form is the one Canonicalize returns for the parsed tree.
+func Parse(src string, maxVertices int) (*cotree.Tree, *Form, error) {
+	var f fold
+	t, err := cotree.ParseFold(src, maxVertices, &f)
+	if err != nil {
+		return nil, nil, err
 	}
-	kids := make([]int32, off[nn])
-	for _, u := range post {
-		if t.Label[u] == cotree.LabelLeaf {
-			hi[u], lo[u], leaves[u] = ivLeafHi, ivLeafLo, 1
-			continue
-		}
-		seg := kids[off[u]:off[u+1]]
-		for i, c := range t.Children[u] {
-			seg[i] = int32(c)
-		}
-		sort.Slice(seg, func(a, b int) bool {
-			x, y := seg[a], seg[b]
-			if hi[x] != hi[y] {
-				return hi[x] < hi[y]
-			}
-			return lo[x] < lo[y]
-		})
-		var h, l uint64
-		if t.Label[u] == cotree.Label0 {
-			h, l = iv0Hi, iv0Lo
-		} else {
-			h, l = iv1Hi, iv1Lo
-		}
-		var cnt int32
-		for _, c := range seg {
-			h = mix(h, hi[c])
-			l = mix(l, lo[c]*mulC+1)
-			cnt += leaves[c]
-		}
-		leaves[u] = cnt
-		hi[u] = mix(h, uint64(cnt))
-		lo[u] = mix(l, uint64(cnt)*mulB+uint64(len(seg)))
-	}
-
-	// Canonical vertex numbering: depth-first over the sorted children,
-	// leaves numbered in visit order.
-	toCanon := make([]int32, nv)
-	fromCanon := make([]int32, nv)
-	stack := make([]int32, 0, 64)
-	stack = append(stack, int32(t.Root))
-	next := int32(0)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if t.Label[u] == cotree.LabelLeaf {
-			v := int32(t.VertexOf[u])
-			toCanon[v] = next
-			fromCanon[next] = v
-			next++
-			continue
-		}
-		seg := kids[off[u]:off[u+1]]
-		for i := len(seg) - 1; i >= 0; i-- {
-			stack = append(stack, seg[i])
-		}
-	}
-
-	root := t.Root
-	return &Form{
-		Hash: Hash{
-			Hi: mix(hi[root], uint64(nv)*mulA),
-			Lo: mix(lo[root], uint64(nv)*mulC),
-		},
-		ToCanon:   toCanon,
-		FromCanon: fromCanon,
-	}
+	return t, f.form(t), nil
 }
 
-// postOrder returns the nodes of t in post-order, iteratively (cotree
-// depth reaches Θ(n) on caterpillars).
-func postOrder(t *cotree.Tree) []int32 {
-	nn := t.NumNodes()
-	type frame struct {
-		node int32
-		next int32
+// Canonicalize computes the canonical form of t: it drives the same
+// per-node fold Parse runs, in post-order (Tree.PostOrder), so
+// trees built without the parser (closure operations, recognition)
+// hash exactly as their text form would. The input is not modified.
+// O(n log n) time, O(n) memory, no recursion.
+func Canonicalize(t *cotree.Tree) *Form {
+	var f fold
+	f.Begin(t.NumNodes())
+	for _, u := range t.PostOrder() {
+		f.Close(t, u)
 	}
-	st := make([]frame, 0, 64)
-	st = append(st, frame{int32(t.Root), 0})
-	post := make([]int32, 0, nn)
-	for len(st) > 0 {
-		f := &st[len(st)-1]
-		ch := t.Children[f.node]
-		if int(f.next) < len(ch) {
-			c := ch[f.next]
-			f.next++
-			st = append(st, frame{int32(c), 0})
+	return f.form(t)
+}
+
+// fold is the one definition of the canonical hash: a cotree.Folder
+// that, as each node closes, sorts its children by subtree digest and
+// mixes their digests into its own. The canonical numbering is then
+// read off top-down by form.
+type fold struct {
+	hi, lo []uint64 // per node: subtree digest lanes
+	leaves []int32  // per node: leaf count (form reuses it for offsets)
+	order  []int32  // nodes in close order
+	kids   []int32  // per internal node in close order: children, sorted
+}
+
+// Begin sizes the fold's arrays for nodes nodes, in two allocations.
+func (f *fold) Begin(nodes int) {
+	dig := make([]uint64, 2*nodes)
+	f.hi, f.lo = dig[:nodes:nodes], dig[nodes:]
+	ix := make([]int32, 3*nodes)
+	f.leaves = ix[:nodes:nodes]
+	f.order = ix[nodes : nodes : 2*nodes]
+	f.kids = ix[2*nodes : 2*nodes]
+}
+
+// Close folds node u, whose children have all been folded.
+func (f *fold) Close(t *cotree.Tree, u int) {
+	f.order = append(f.order, int32(u))
+	if t.Label[u] == cotree.LabelLeaf {
+		f.hi[u], f.lo[u], f.leaves[u] = ivLeafHi, ivLeafLo, 1
+		return
+	}
+	s := len(f.kids)
+	for _, c := range t.Children[u] {
+		f.kids = append(f.kids, int32(c))
+	}
+	seg := f.kids[s:]
+	hi, lo := f.hi, f.lo
+	// Siblings with equal digests (isomorphic subtrees) stay in the
+	// order the sort leaves them; TestParseGolden pins the resulting
+	// numbering, which cached covers are stored in.
+	slices.SortFunc(seg, func(x, y int32) int {
+		if hi[x] != hi[y] {
+			return cmp.Compare(hi[x], hi[y])
+		}
+		return cmp.Compare(lo[x], lo[y])
+	})
+	var h, l uint64
+	if t.Label[u] == cotree.Label0 {
+		h, l = iv0Hi, iv0Lo
+	} else {
+		h, l = iv1Hi, iv1Lo
+	}
+	var cnt int32
+	for _, c := range seg {
+		h = mix(h, hi[c])
+		l = mix(l, lo[c]*mulC+1)
+		cnt += f.leaves[c]
+	}
+	f.leaves[u] = cnt
+	hi[u] = mix(h, uint64(cnt))
+	lo[u] = mix(l, uint64(cnt)*mulB+uint64(len(seg)))
+}
+
+// form finishes the fold of the whole tree t: the root digest gives the
+// hash, and the canonical numbering (leaves in depth-first order of the
+// sorted tree) comes from one top-down pass in reverse close order,
+// where every parent precedes its children. A leaf's canonical id is
+// its subtree's offset: the parent's offset plus the leaf counts of the
+// siblings sorted before it.
+func (f *fold) form(t *cotree.Tree) *Form {
+	nv := t.NumVertices()
+	root := t.Root
+	ids := make([]int32, 2*nv)
+	out := &Form{
+		Hash: Hash{
+			Hi: mix(f.hi[root], uint64(nv)*mulA),
+			Lo: mix(f.lo[root], uint64(nv)*mulC),
+		},
+		ToCanon:   ids[:nv:nv],
+		FromCanon: ids[nv:],
+	}
+	off := f.leaves // off[c] replaces leaves[c] once c's parent has read it
+	off[root] = 0
+	end := len(f.kids)
+	for k := len(f.order) - 1; k >= 0; k-- {
+		u := f.order[k]
+		if t.Label[u] == cotree.LabelLeaf {
+			v := int32(t.VertexOf[u])
+			out.ToCanon[v] = off[u]
+			out.FromCanon[off[u]] = v
 			continue
 		}
-		post = append(post, f.node)
-		st = st[:len(st)-1]
+		seg := f.kids[end-len(t.Children[u]) : end]
+		end -= len(seg)
+		next := off[u]
+		for _, c := range seg {
+			next, off[c] = next+off[c], next
+		}
 	}
-	return post
+	return out
 }
 
 // Encode returns the canonical text form of t's structure: leaves

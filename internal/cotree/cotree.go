@@ -52,6 +52,24 @@ func (t *Tree) Name(v int) string {
 	return fmt.Sprintf("v%d", v)
 }
 
+// PostOrder returns the nodes in post-order: every subtree's nodes
+// before its root, children in order. It needs no recursion and, on a
+// valid tree, no memory beyond its result: the pending stack grows from
+// the front of the result while finished nodes fill it from the back,
+// and together they never hold more than every node once.
+func (t *Tree) PostOrder() []int {
+	out := make([]int, t.NumNodes())
+	out[0] = t.Root
+	sp, k := 1, len(out)
+	for sp > 0 {
+		sp--
+		k--
+		out[k] = out[sp]
+		sp += copy(out[sp:k], t.Children[out[k]])
+	}
+	return out
+}
+
 // Single returns the cotree of a single-vertex graph.
 func Single(name string) *Tree {
 	return &Tree{

@@ -1,9 +1,14 @@
 package cotree
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse: the parser must never panic, and any accepted input must
-// produce a validating tree that round-trips through String.
+// produce a validating tree that round-trips through String. The
+// differential target (scanner against the recursive reference parser,
+// parsed form against Canonicalize) is canon's FuzzParse.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"a",
@@ -16,6 +21,10 @@ func FuzzParse(f *testing.F) {
 		")",
 		"(1 a b))",
 		"(0 (1 x y) z",
+		" \t\r\n(1\n\n a\t\t(0   b \r c ) )\n",
+		"(0(1 a b)c)",
+		strings.Repeat("(1 a (0 b ", 20) + "c" + strings.Repeat("))", 20),
+		strings.Repeat("(1 a (0 b ", 20) + "c" + strings.Repeat("))", 19),
 	} {
 		f.Add(seed)
 	}

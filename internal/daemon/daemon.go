@@ -368,11 +368,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
 	return dec.Decode(dst)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
+	// A failed write to a client that has already gone (a gateway
+	// cancelling the losing attempt of a hedged request) is expected,
+	// not an error worth a log line.
+	if err := enc.Encode(v); err != nil && r.Context().Err() == nil {
 		log.Printf("pathcoverd: encode: %v", err)
 	}
 }
@@ -385,7 +388,7 @@ type errorResponse struct {
 // (saturation, shutdown) carry a Retry-After hint so a retrying client
 // or gateway backs off the amount the node asks for instead of
 // guessing.
-func (s *Server) fail(w http.ResponseWriter, err error) {
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, pathcover.ErrPoolSaturated),
 		errors.Is(err, pathcover.ErrPoolClosed):
@@ -393,21 +396,25 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 			s.met.shed.With("saturation").Inc()
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		writeJSON(w, r, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 	case errors.Is(err, pathcover.ErrNotExact),
 		errors.Is(err, pathcover.ErrNotCograph),
 		errors.Is(err, pathcover.ErrNotForest):
 		// The request's routing constraints (strict mode or a pinned
 		// backend) cannot serve this graph.
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, r, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	case errors.Is(err, pathcover.ErrTooManyEdges):
+		// A pinned edge-walking backend would have to materialise more
+		// edges than the cap from an implicit (cotree) graph.
+		writeJSON(w, r, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
 		// The RequestTimeout deadline cut the solve off mid-pipeline.
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: err.Error()})
+		writeJSON(w, r, http.StatusGatewayTimeout, errorResponse{Error: err.Error()})
 	case errors.Is(err, context.Canceled):
 		// Client went away; 499 in the nginx tradition.
-		writeJSON(w, 499, errorResponse{Error: err.Error()})
+		writeJSON(w, r, 499, errorResponse{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		writeJSON(w, r, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
 }
 
@@ -431,24 +438,24 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return r.Context(), func() {}
 }
 
-func badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+func badRequest(w http.ResponseWriter, r *http.Request, err error) {
+	writeJSON(w, r, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
 // shed rejects one request the QoS layer refused to admit: 503 with the
 // same Retry-After contract as saturated admission, plus the shed
 // counter under reason.
-func (s *Server) shed(w http.ResponseWriter, reason string) {
+func (s *Server) shed(w http.ResponseWriter, r *http.Request, reason string) {
 	s.met.shed.With(reason).Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeJSON(w, http.StatusServiceUnavailable,
+	writeJSON(w, r, http.StatusServiceUnavailable,
 		errorResponse{Error: "request shed: " + reason + " budget exceeded; retry after backoff"})
 }
 
 func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		writeJSON(w, r, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return false
 	}
 	return true
@@ -463,7 +470,7 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.pool.Stats()
 	ready := st.QueueDepth <= 0 || st.InFlight < int64(st.QueueDepth)
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, r, http.StatusOK, map[string]any{
 		"ok":          true,
 		"ready":       ready,
 		"shards":      s.pool.NumShards(),
@@ -475,7 +482,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, r, http.StatusOK, map[string]any{
 		"pool":       s.pool.Stats(),
 		"registry":   s.reg.Stats(),
 		"requests":   s.requests.Load(),
@@ -506,7 +513,7 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 	var req coverRequest
 	if r.Method == http.MethodPost {
 		if err := s.decode(w, r, &req); err != nil {
-			badRequest(w, err)
+			badRequest(w, r, err)
 			return
 		}
 	}
@@ -516,24 +523,24 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 	var g *pathcover.Graph
 	if id != "" {
 		if req.Cotree != "" || req.N != 0 || len(req.Edges) != 0 {
-			badRequest(w, errors.New("give either ?id= or a graph spec, not both"))
+			badRequest(w, r, errors.New("give either ?id= or a graph spec, not both"))
 			return
 		}
 		var ok bool
 		if g, ok = s.reg.Get(id); !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
+			writeJSON(w, r, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
 			return
 		}
 	} else {
 		var err error
 		if g, err = req.graph(strict); err != nil {
-			badRequest(w, err)
+			badRequest(w, r, err)
 			return
 		}
 	}
 	opts, err := coverOpts(req.Backend, strict)
 	if err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	ri := info(r)
@@ -547,7 +554,7 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 	// cotree-built requests over budget can only be rejected.
 	switch s.shedCheck(g.N(), req.Backend == "" && !strict && g.HasEdgeList()) {
 	case shedReject:
-		s.shed(w, "cost")
+		s.shed(w, r, "cost")
 		return
 	case shedDegrade:
 		opts = append(opts, pathcover.WithBackend(pathcover.BackendApprox))
@@ -562,10 +569,10 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 			// The cheap tier could not serve it either (e.g. the graph is
 			// too large to materialize for the approximation): shed.
 			ri.degraded = false
-			s.shed(w, "cost")
+			s.shed(w, r, "cost")
 			return
 		}
-		s.fail(w, err)
+		s.fail(w, r, err)
 		return
 	}
 	elapsed := time.Since(start)
@@ -580,7 +587,7 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Verify {
 		if err := g.Verify(cov.Paths); err != nil {
-			s.fail(w, fmt.Errorf("cover failed verification: %w", err))
+			s.fail(w, r, fmt.Errorf("cover failed verification: %w", err))
 			return
 		}
 	}
@@ -589,7 +596,7 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeNames {
 		resp.Names = vertexNames(g)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, r, http.StatusOK, resp)
 }
 
 // cacheOutcome classifies how a pool cover was served for the request
@@ -613,17 +620,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var spec graphSpec
 	if err := s.decode(w, r, &spec); err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	g, err := spec.graph(strictMode(r))
 	if err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	info(r).n = g.N()
 	id := s.reg.Register(g)
-	writeJSON(w, http.StatusOK, graphInfoJSON(id, g))
+	writeJSON(w, r, http.StatusOK, graphInfoJSON(id, g))
 }
 
 func graphInfoJSON(id string, g *pathcover.Graph) map[string]any {
@@ -643,20 +650,20 @@ func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	g, ok := s.reg.Get(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
+		writeJSON(w, r, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
 		return
 	}
-	writeJSON(w, http.StatusOK, graphInfoJSON(id, g))
+	writeJSON(w, r, http.StatusOK, graphInfoJSON(id, g))
 }
 
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	id := r.PathValue("id")
 	if !s.reg.Delete(id) {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
+		writeJSON(w, r, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": true, "id": id})
+	writeJSON(w, r, http.StatusOK, map[string]any{"deleted": true, "id": id})
 }
 
 func (s *Server) handleHamiltonian(w http.ResponseWriter, r *http.Request) {
@@ -666,14 +673,14 @@ func (s *Server) handleHamiltonian(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req hamiltonianRequest
 	if err := s.decode(w, r, &req); err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	// Hamiltonicity is cograph-only (no degraded backend exists), so the
 	// edge-list form must recognize regardless of strict mode.
 	g, err := req.graph(true)
 	if err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	ri := info(r)
@@ -682,7 +689,7 @@ func (s *Server) handleHamiltonian(w http.ResponseWriter, r *http.Request) {
 	// Hamiltonicity has no approximate tier, so over-budget requests can
 	// only be rejected.
 	if s.shedCheck(g.N(), false) == shedReject {
-		s.shed(w, "cost")
+		s.shed(w, r, "cost")
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -698,14 +705,14 @@ func (s *Server) handleHamiltonian(w http.ResponseWriter, r *http.Request) {
 		path, ok, err = s.pool.HamiltonianPath(ctx, g)
 	}
 	if err != nil {
-		s.fail(w, err)
+		s.fail(w, r, err)
 		return
 	}
 	s.estimator.observe(g.N(), time.Since(start).Nanoseconds())
 	if path == nil {
 		path = []int{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, r, http.StatusOK, map[string]any{
 		"ok":         ok,
 		"cycle":      req.Cycle,
 		"path":       path,
@@ -721,11 +728,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req batchRequest
 	if err := s.decode(w, r, &req); err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	if len(req.Graphs) == 0 {
-		badRequest(w, errors.New("empty batch"))
+		badRequest(w, r, errors.New("empty batch"))
 		return
 	}
 	strict := strictMode(r)
@@ -734,7 +741,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Graphs {
 		g, err := req.Graphs[i].graph(strict)
 		if err != nil {
-			badRequest(w, fmt.Errorf("graph %d: %w", i, err))
+			badRequest(w, r, fmt.Errorf("graph %d: %w", i, err))
 			return
 		}
 		gs[i] = g
@@ -742,7 +749,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := coverOpts(req.Backend, strict)
 	if err != nil {
-		badRequest(w, err)
+		badRequest(w, r, err)
 		return
 	}
 	ri := info(r)
@@ -752,14 +759,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// over the share it is shed with the standard Retry-After contract.
 	gateRelease, ok := s.batchGate.admit()
 	if !ok {
-		s.shed(w, "batch_share")
+		s.shed(w, r, "batch_share")
 		return
 	}
 	defer gateRelease()
 	// Batches never degrade (a mixed exact/approx batch would be
 	// unusable): over the cost budget they shed whole.
 	if s.shedCheck(total, false) == shedReject {
-		s.shed(w, "cost")
+		s.shed(w, r, "cost")
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -767,7 +774,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	covs, err := s.pool.CoverBatch(ctx, gs, opts...)
 	if err != nil {
-		s.fail(w, err)
+		s.fail(w, r, err)
 		return
 	}
 	elapsed := time.Since(start)
@@ -775,7 +782,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, cov := range covs {
 		if s.cfg.Verify {
 			if err := gs[i].Verify(cov.Paths); err != nil {
-				s.fail(w, fmt.Errorf("cover %d failed verification: %w", i, err))
+				s.fail(w, r, fmt.Errorf("cover %d failed verification: %w", i, err))
 				return
 			}
 		}
@@ -784,7 +791,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out[i].Names = vertexNames(gs[i])
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, r, http.StatusOK, map[string]any{
 		"covers":     out,
 		"elapsed_ms": float64(elapsed.Nanoseconds()) / 1e6,
 	})

@@ -2,9 +2,11 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-
+	"errors"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -548,5 +550,39 @@ func TestAdaptiveServerGrows(t *testing.T) {
 	}
 	if got, _ := exp.Value("pathcoverd_shards_max"); got != 2 {
 		t.Errorf("shards_max = %v, want 2", got)
+	}
+}
+
+// goneWriter is the ResponseWriter of a client that has hung up: every
+// body write fails the way a write to a closed socket does.
+type goneWriter struct{ h http.Header }
+
+func (w *goneWriter) Header() http.Header       { return w.h }
+func (w *goneWriter) WriteHeader(int)           {}
+func (w *goneWriter) Write([]byte) (int, error) { return 0, errors.New("write: broken pipe") }
+
+// TestCancelledWriteNotLogged: a response nobody is left to read — the
+// losing attempt of a gateway's hedged request, cancelled by the
+// gateway — fails its write without an "encode:" log line, while the
+// same failure on a live request still logs.
+func TestCancelledWriteNotLogged(t *testing.T) {
+	var buf bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&buf)
+	s := New(Config{Shards: 1, LogOutput: io.Discard})
+	defer s.Close()
+	serve := func(ctx context.Context) {
+		req := httptest.NewRequest(http.MethodPost, "/cover", strings.NewReader(`{"cotree":"(1 (0 a b) c)"}`))
+		s.Handler().ServeHTTP(&goneWriter{h: http.Header{}}, req.WithContext(ctx))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	serve(ctx)
+	if strings.Contains(buf.String(), "encode:") {
+		t.Fatalf("cancelled request logged its failed write: %s", buf.String())
+	}
+	serve(context.Background())
+	if !strings.Contains(buf.String(), "encode:") {
+		t.Fatal("a live request's failed write was not logged")
 	}
 }

@@ -33,6 +33,7 @@ package pathcover
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -102,8 +103,9 @@ type Graph struct {
 	raw   *backend.Graph
 	names []string
 
-	// Memoized canonical form (cographs only; see cache.go). Computed
-	// at most once per Graph, on first cache or CanonicalHash use.
+	// Memoized canonical form (cographs only; see cache.go). ParseCotree
+	// sets it during the parse; other cographs compute it at most once,
+	// on first cache or CanonicalHash use.
 	canonOnce sync.Once
 	canonForm *canon.Form
 }
@@ -115,19 +117,25 @@ type Graph struct {
 //
 // e.g. "(1 (0 a b) c)" is the join of the edgeless graph {a,b} with c
 // (the path a-c-b). A cotree with more than MaxVertices leaves is
-// rejected with a *SizeError.
+// rejected with a *SizeError. The parse is one iterative scan that also
+// folds the canonical form (see canon.Parse), so the returned Graph's
+// CanonicalHash and cache key cost nothing more, and no nesting depth
+// can overflow the stack.
 func ParseCotree(src string) (*Graph, error) { return parseCotree(src, MaxVertices) }
 
 // parseCotree is ParseCotree with the vertex bound as a parameter.
 func parseCotree(src string, max int) (*Graph, error) {
-	t, err := cotree.Parse(src)
+	t, form, err := canon.Parse(src, max)
 	if err != nil {
+		var se *cotree.SizeError
+		if errors.As(err, &se) {
+			return nil, &SizeError{N: se.N, Max: se.Max}
+		}
 		return nil, err
 	}
-	if n := t.NumVertices(); n > max {
-		return nil, &SizeError{N: n, Max: max}
-	}
-	return &Graph{t: t}, nil
+	g := &Graph{t: t}
+	g.canonOnce.Do(func() { g.canonForm = form })
+	return g, nil
 }
 
 // FromEdges builds a cograph from an explicit edge list on vertices
@@ -219,29 +227,29 @@ func (g *Graph) Adjacent(x, y int) bool {
 }
 
 // NumEdges counts the edges: O(1) for raw graphs, O(n) from the cotree
-// (sum over 1-nodes of the products of child leaf counts) for cographs.
+// (sum over 1-nodes of the products of child leaf counts, in post-order
+// with no recursion) for cographs.
 func (g *Graph) NumEdges() int {
 	if g.t == nil {
 		return len(g.raw.Edges)
 	}
 	t := g.t
-	var walk func(u int) int // returns leaf count, accumulates edges
+	leaves := make([]int, t.NumNodes())
 	total := 0
-	walk = func(u int) int {
+	for _, u := range t.PostOrder() {
 		if t.Label[u] == cotree.LabelLeaf {
-			return 1
+			leaves[u] = 1
+			continue
 		}
 		sum := 0
 		for _, c := range t.Children[u] {
-			lc := walk(c)
 			if t.Label[u] == cotree.Label1 {
-				total += sum * lc
+				total += sum * leaves[c]
 			}
-			sum += lc
+			sum += leaves[c]
 		}
-		return sum
+		leaves[u] = sum
 	}
-	walk(t.Root)
 	return total
 }
 

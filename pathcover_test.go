@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"pathcover/internal/backend"
 )
 
 func TestQuickstartShape(t *testing.T) {
@@ -169,5 +171,40 @@ func TestThresholdGraphs(t *testing.T) {
 	}
 	if err := g.Verify(cov.Paths); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCotreeEdgeWalks checks the cotree-side edge count, edge list and
+// forest test against the adjacency oracle and the edge-list backend.
+func TestCotreeEdgeWalks(t *testing.T) {
+	graphs := []*Graph{Star(9), Union(Star(4), Clique(2), Vertex("x")), CompleteBipartite(2, 3)}
+	for n := 1; n <= 24; n++ {
+		for shape := Shape(0); shape < 3; shape++ {
+			graphs = append(graphs, Random(uint64(n), n, shape))
+		}
+	}
+	for _, g := range graphs {
+		n, m := g.N(), g.NumEdges()
+		pairs := 0
+		for x := 0; x < n; x++ {
+			for y := x + 1; y < n; y++ {
+				if g.Adjacent(x, y) {
+					pairs++
+				}
+			}
+		}
+		edges := cotreeEdges(g.t, m)
+		rg := backend.New(n, edges)
+		if m != pairs || len(edges) != m || len(rg.Edges) != m {
+			t.Fatalf("%s: NumEdges %d, cotreeEdges %d (%d distinct), oracle %d", g, m, len(edges), len(rg.Edges), pairs)
+		}
+		for _, e := range edges {
+			if !g.Adjacent(e[0], e[1]) {
+				t.Fatalf("%s: materialised non-edge %v", g, e)
+			}
+		}
+		if g.IsForest() != rg.IsForest() {
+			t.Fatalf("%s: IsForest %v, edge-list backend says %v", g, g.IsForest(), rg.IsForest())
+		}
 	}
 }

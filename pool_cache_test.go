@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"pathcover/internal/canon"
 )
 
 // cachedPool builds a small pool with the canonical-identity cache on.
@@ -269,5 +271,39 @@ func TestUncachedPoolHasNilCacheStats(t *testing.T) {
 	defer p.Close()
 	if st := p.Stats().Cache; st != nil {
 		t.Fatalf("uncached pool reports cache stats: %+v", st)
+	}
+}
+
+// TestFrontEndAllocBudgets gates the allocations of a cache hit's front
+// end at n = 2000: the one-pass parse sizes every array once (O(1)
+// allocations, not one per node), Canonicalize on a built tree shares
+// its fold, and the parse leaves the canonical form memoized.
+func TestFrontEndAllocBudgets(t *testing.T) {
+	built := Random(5, 2000, Mixed)
+	src := built.String()
+	parseHash := testing.AllocsPerRun(20, func() {
+		g, err := ParseCotree(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.CanonicalHash()
+	})
+	canonicalize := testing.AllocsPerRun(20, func() { canon.Canonicalize(built.t) })
+	g, err := ParseCotree(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoHash := testing.AllocsPerRun(20, func() { g.CanonicalHash() })
+	for _, b := range []struct {
+		name        string
+		got, budget float64
+	}{
+		{"ParseCotree + CanonicalHash", parseHash, 32},
+		{"canon.Canonicalize on a built tree", canonicalize, 16},
+		{"CanonicalHash after ParseCotree", memoHash, 0},
+	} {
+		if b.got > b.budget {
+			t.Errorf("%s: %.0f allocs/op, budget %.0f", b.name, b.got, b.budget)
+		}
 	}
 }
